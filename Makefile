@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
+.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fuzz-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
 
 ## check: the full gate — vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
 ## (including the golden-trace regression suite and the per-package
 ## coverage floors), the write-ahead-journal race smoke, the wire-codec
-## and transport smoke, the fault-injection smoke matrix, the
-## small-shape pool-throughput smoke, the federation smoke, the
-## machine-churn determinism smoke, then the ops-plane smoke.
-check: vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke
+## and transport smoke, the bounded record-codec fuzz smoke, the
+## fault-injection smoke matrix, the small-shape pool-throughput smoke,
+## the federation smoke, the machine-churn determinism smoke, then the
+## ops-plane smoke.
+check: vet determinism-grep build race cover journal-smoke wire-smoke fuzz-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke
 
 vet:
 	$(GO) vet ./...
@@ -43,10 +44,11 @@ race:
 ## a plain pipe into tee would swallow a failing suite, because the
 ## recipe shell is plain sh with no pipefail.  Every package in
 ## COVER_PKGS is a regression-suite foundation (the tracing layer, the
-## write-ahead journal, the wire codec) and must stay at or above the
-## COVER_FLOOR.
+## write-ahead journal, the wire codec, the canonical record codec) and
+## must stay at or above the COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/obs \
+	github.com/errscope/grid/internal/record \
 	github.com/errscope/grid/internal/journal \
 	github.com/errscope/grid/internal/wire \
 	github.com/errscope/grid/internal/faultinject \
@@ -86,6 +88,12 @@ journal-smoke:
 ## tests, and encrypted live round trips.
 wire-smoke:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/chirp/ ./internal/remoteio/
+
+## fuzz-smoke: a bounded run of the one record-codec fuzz target —
+## every exported record parser over mutated input, parse∘encode must
+## be the identity on whatever a parser accepts.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/record
 
 ## fault-smoke: one fault-injection cell per error class; exits
 ## non-zero on any misclassification.

@@ -1,116 +1,47 @@
 package daemon
 
 import (
-	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 )
 
 // The checkpoint codec.  A checkpoint crosses the pool boundary — it
 // leaves the execution machine and must survive that machine's death —
-// so, like the flock codec, it travels as a canonical text record
-// rather than a process-local struct: one line, fixed field order, and
-// a CRC-32 trailer over everything before it.  Canonical means
-// ParseCheckpoint(EncodeCheckpoint(j, c)) == (j, c) and re-encoding
-// any accepted line reproduces it byte for byte, the property the fuzz
-// test pins.  A corrupted or truncated line is a parse error the
-// shadow scopes as a network failure — the checkpoint is damaged, not
-// the job, and the previous committed checkpoint still stands.
+// so it travels as a sealed canonical record (package record) rather
+// than a process-local struct: one line, fixed field order, and a
+// CRC-32 trailer over everything before it.  A corrupted or truncated
+// line is a parse error the shadow scopes as a network failure — the
+// checkpoint is damaged, not the job, and the previous committed
+// checkpoint still stands.
 //
-//	ckpt job=7 cpu=1800000000000 crc=9f43aa10
+//	ckpt job=7 cpu=1800000000000 crc=49c55efe
 
 // EncodeCheckpoint renders the canonical one-line checkpoint record
 // for a job's accumulated CPU progress.
 func EncodeCheckpoint(job JobID, cpu time.Duration) string {
-	var sb strings.Builder
-	sb.WriteString("ckpt job=")
-	sb.WriteString(strconv.Itoa(int(job)))
-	sb.WriteString(" cpu=")
-	sb.WriteString(strconv.FormatInt(int64(cpu), 10))
-	sum := crc32.ChecksumIEEE([]byte(sb.String()))
-	sb.WriteString(" crc=")
-	fmt.Fprintf(&sb, "%08x", sum)
-	return sb.String()
+	b := append(make([]byte, 0, 48), "ckpt"...)
+	b = record.AppendInt(b, "job", int64(job))
+	b = record.AppendInt(b, "cpu", int64(cpu))
+	return string(record.Seal(b))
 }
 
-// ParseCheckpoint decodes one checkpoint record, strictly: exact field
-// order, single spaces, canonical integers, and a CRC that matches the
-// bytes it covers.  Anything else — above all, a payload damaged in
-// transit — is an error.
+// ParseCheckpoint decodes one checkpoint record strictly (see package
+// record): anything but the canonical, correctly sealed line — above
+// all, a payload damaged in transit — is an error.
 func ParseCheckpoint(s string) (JobID, time.Duration, error) {
-	rest, ok := strings.CutPrefix(s, "ckpt ")
-	if !ok {
-		return 0, 0, fmt.Errorf("ckpt: not a checkpoint record: %q", s)
+	r := record.NewReader("ckpt", s)
+	r.Expect("ckpt")
+	job, cpu := r.Int("job"), r.Int("cpu")
+	r.Sealed()
+	if job < 0 || cpu < 0 {
+		r.Fail("negative job %d or cpu %d", job, cpu)
 	}
-	job, err := cutCkptInt(&rest, "job", true)
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return 0, 0, err
-	}
-	if job < 0 {
-		return 0, 0, fmt.Errorf("ckpt: negative job %d", job)
-	}
-	cpu, err := cutCkptInt(&rest, "cpu", true)
-	if err != nil {
-		return 0, 0, err
-	}
-	if cpu < 0 {
-		return 0, 0, fmt.Errorf("ckpt: negative cpu %d", cpu)
-	}
-	raw, ok := strings.CutPrefix(rest, "crc=")
-	if !ok {
-		return 0, 0, fmt.Errorf("ckpt: expected crc= at %q", rest)
-	}
-	if len(raw) != 8 {
-		return 0, 0, fmt.Errorf("ckpt: crc %q is not 8 hex digits", raw)
-	}
-	sum, err := strconv.ParseUint(raw, 16, 32)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ckpt: field crc: %w", err)
-	}
-	// Canonical hex only: ParseUint accepts uppercase, which would
-	// re-encode differently and break the round trip.
-	if raw != fmt.Sprintf("%08x", uint32(sum)) {
-		return 0, 0, fmt.Errorf("ckpt: non-canonical crc=%q", raw)
-	}
-	covered := s[:len(s)-len(" crc=")-8]
-	if got := crc32.ChecksumIEEE([]byte(covered)); got != uint32(sum) {
-		return 0, 0, fmt.Errorf("ckpt: crc mismatch: record says %08x, bytes say %08x",
-			uint32(sum), got)
 	}
 	return JobID(job), time.Duration(cpu), nil
-}
-
-// cutCkptInt consumes "key=<int64>" (and, when more fields follow, the
-// single space after it) from the front of *rest.
-func cutCkptInt(rest *string, key string, more bool) (int64, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("ckpt: expected %s= at %q", key, *rest)
-	}
-	var raw string
-	if more {
-		raw, r, ok = strings.Cut(r, " ")
-		if !ok {
-			return 0, fmt.Errorf("ckpt: truncated after %s", key)
-		}
-	} else {
-		raw, r = r, ""
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: field %s: %w", key, err)
-	}
-	// Reject non-canonical spellings ("+2", "007") that ParseInt
-	// accepts: they would re-encode differently.
-	if raw != strconv.FormatInt(v, 10) {
-		return 0, fmt.Errorf("ckpt: non-canonical %s=%q", key, raw)
-	}
-	*rest = r
-	return v, nil
 }
 
 // ckptCorruptErr scopes a damaged checkpoint record: the network

@@ -133,7 +133,7 @@ type Job struct {
 
 	// identEnc caches the journal encoding of the immutable identity
 	// fields (owner, universe, exe, ad, prog) — rendered once instead
-	// of per snapshot (see Job.identLine).
+	// of per snapshot (see Job.identFields).
 	identEnc []byte
 	// attEnc/attEncN cache the journal encoding of frozen attempts:
 	// every attempt before the last, plus the last once it is closed

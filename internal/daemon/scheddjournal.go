@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -34,6 +33,7 @@ import (
 	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
 )
@@ -309,132 +309,95 @@ func shadowDiedErr(schedd string) *scope.Error {
 }
 
 // --- record encoding -------------------------------------------------
+//
+// Every journal record and snapshot line is one package-record line.
+// A journal record's head is its op ("op=exec") and its first fields
+// the job and the instant; a snapshot line's head names its kind.
 
-// identLine returns — building it on first use — the encoding of the
+// recHead starts a journal record: `op=<op> id=<id> at=<at>`, with
+// room for the fields the caller appends.
+func recHead(op string, id JobID, at sim.Time, room int) []byte {
+	b := append(make([]byte, 0, 48+room), "op="...)
+	b = append(b, op...)
+	b = record.AppendInt(b, "id", int64(id))
+	return record.AppendInt(b, "at", int64(at))
+}
+
+// identFields returns — building it on first use — the encoding of the
 // job's immutable identity fields, shared by the submit record and
-// every snapshot line: "owner=.. universe=.. exe=.. ad=.. prog=..".
+// every snapshot job line: ` owner=.. universe=.. exe=.. ad=.. prog=..`.
 // Owner, Universe, Executable, Ad, and Program never change after
 // submission (recovery builds a fresh Job), so the rendered ad and the
 // quoting work are paid once per job instead of once per snapshot.
-func (j *Job) identLine() []byte {
+func (j *Job) identFields() []byte {
 	if j.identEnc == nil {
 		ad := ""
 		if j.Ad != nil {
 			ad = j.Ad.String()
 		}
-		b := append(make([]byte, 0, 96+len(ad)), "owner="...)
-		b = scope.AppendQuote(b, j.Owner)
-		b = append(b, " universe="...)
-		b = scope.AppendQuote(b, j.Universe)
-		b = append(b, " exe="...)
-		b = scope.AppendQuote(b, j.Executable)
-		b = append(b, " ad="...)
-		b = scope.AppendQuote(b, ad)
-		b = append(b, " prog="...)
-		b = scope.AppendQuote(b, jvm.EncodeProgram(j.Program))
-		j.identEnc = b
+		b := make([]byte, 0, 96+len(ad))
+		b = record.AppendStr(b, "owner", j.Owner)
+		b = record.AppendStr(b, "universe", j.Universe)
+		b = record.AppendStr(b, "exe", j.Executable)
+		b = record.AppendStr(b, "ad", ad)
+		j.identEnc = record.AppendStr(b, "prog", jvm.EncodeProgram(j.Program))
 	}
 	return j.identEnc
 }
 
 func recSubmit(j *Job) []byte {
-	ident := j.identLine()
-	b := append(make([]byte, 0, 40+len(ident)), "op=submit id="...)
-	b = strconv.AppendInt(b, int64(j.ID), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(j.Submitted), 10)
-	b = append(b, ' ')
-	b = append(b, ident...)
-	return b
-}
-
-func recMachineOp(op string, id JobID, at sim.Time, machine string) []byte {
-	b := append(make([]byte, 0, 48+len(machine)), "op="...)
-	b = append(b, op...)
-	b = append(b, " id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, machine)
-	return b
+	ident := j.identFields()
+	return append(recHead("submit", j.ID, j.Submitted, len(ident)), ident...)
 }
 
 func recMatch(id JobID, at sim.Time, machine string) []byte {
-	return recMachineOp("match", id, at, machine)
+	return record.AppendStr(recHead("match", id, at, 12+len(machine)), "machine", machine)
 }
 
 func recExec(id JobID, at sim.Time, machine string) []byte {
-	return recMachineOp("exec", id, at, machine)
+	return record.AppendStr(recHead("exec", id, at, 12+len(machine)), "machine", machine)
 }
 
 // recFlock records a flock transition: the job's advertisement moved
 // to the peer negotiator `to` at 1-based `level`, or came home again
 // (level 0, empty to).
 func recFlock(id JobID, at sim.Time, level int, to string) []byte {
-	b := append(make([]byte, 0, 56+len(to)), "op=flock id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " level="...)
-	b = strconv.AppendInt(b, int64(level), 10)
-	b = append(b, " to="...)
-	b = scope.AppendQuote(b, to)
-	return b
+	b := record.AppendInt(recHead("flock", id, at, 16+len(to)), "level", int64(level))
+	return record.AppendStr(b, "to", to)
 }
 
 // recCkpt records a committed checkpoint: the job can resume from cpu
 // nanoseconds of delivered work on any machine, even after a schedd
 // crash.
 func recCkpt(id JobID, at sim.Time, cpu time.Duration) []byte {
-	b := append(make([]byte, 0, 56), "op=ckpt id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(cpu), 10)
-	return b
+	return record.AppendInt(recHead("ckpt", id, at, 24), "cpu", int64(cpu))
 }
 
 // recEvent covers the transitions that carry no payload beyond the
 // job and the instant: claim-timeout, claim-denied, relax, recover.
 func recEvent(op string, id JobID, at sim.Time) []byte {
-	b := append(make([]byte, 0, 40), "op="...)
-	b = append(b, op...)
-	b = append(b, " id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	return b
+	return recHead(op, id, at, 0)
 }
 
 func recFinal(f jobFinalMsg, at sim.Time) []byte {
-	b := append(make([]byte, 0, 256), "op=final id="...)
-	b = strconv.AppendInt(b, int64(f.Job), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, f.Machine)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(f.CPU), 10)
-	b = append(b, " ckpt="...)
-	b = strconv.AppendInt(b, int64(f.CheckpointCPU), 10)
-	b = append(b, " evicted="...)
-	b = strconv.AppendBool(b, f.Evicted)
-	if f.Preempted { // written only when set, so pre-preemption logs replay byte-identically
-		b = append(b, " pre=true"...)
-	}
-	b = append(b, " hold="...)
-	b = strconv.AppendBool(b, f.Hold)
-	b = append(b, " fetch="...)
-	b = scope.AppendQuote(b, encodeScopedErr(f.FetchError))
-	b = append(b, " lost="...)
-	b = scope.AppendQuote(b, encodeScopedErr(f.LostContact))
-	b = append(b, " rep="...)
-	b = scope.AppendQuote(b, f.Reported.EncodeString())
-	b = append(b, " tru="...)
-	b = scope.AppendQuote(b, f.True.EncodeString())
-	return b
+	b := recHead("final", f.Job, at, 208)
+	b = record.AppendStr(b, "machine", f.Machine)
+	b = record.AppendInt(b, "cpu", int64(f.CPU))
+	b = record.AppendInt(b, "ckpt", int64(f.CheckpointCPU))
+	b = record.AppendBool(b, "evicted", f.Evicted)
+	b = record.AppendFlag(b, "pre", f.Preempted)
+	b = record.AppendBool(b, "hold", f.Hold)
+	return appendOutcome(b, f.FetchError, f.LostContact, &f.Reported, &f.True)
+}
+
+// appendOutcome writes the fields a final record and a snapshot
+// attempt line share: the fetch and lost-contact errors and the
+// reported and true results.
+func appendOutcome(b []byte, fetch, lost error, rep, tru *scope.Result) []byte {
+	b = record.AppendStr(b, "fetch", encodeScopedErr(fetch))
+	b = record.AppendStr(b, "lost", encodeScopedErr(lost))
+	b = record.AppendStr(b, "rep", rep.EncodeString())
+	return record.AppendStr(b, "tru", tru.EncodeString())
 }
 
 // encodeScopedErr flattens an error for the journal.  The cause chain
@@ -457,192 +420,140 @@ func encodeScopedErr(err error) string {
 		se.Scope.String(), se.Kind.String(), se.Code, se.Origin, msg}, "|")
 }
 
-func decodeScopedErr(enc string) (error, error) {
-	if enc == "" {
-		return nil, nil
-	}
-	parts := strings.SplitN(enc, "|", 5)
-	if len(parts) != 5 {
-		return nil, fmt.Errorf("malformed error %q", enc)
-	}
-	sc, err := scope.ParseScope(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	k, err := scope.ParseKind(parts[1])
-	if err != nil {
-		return nil, err
-	}
-	return &scope.Error{Scope: sc, Kind: k, Code: parts[2],
-		Origin: parts[3], Message: parts[4]}, nil
-}
-
 // --- record replay ---------------------------------------------------
+//
+// Replay reads each record whole before touching the queue: a case
+// reads its fields and returns the mutation, which runs only once the
+// reader has accepted the entire line.
 
 // applyEntry replays one journal record against the queue.  Records
 // are facts, not requests: they were written ahead of transitions
 // that then happened, so they apply unconditionally.
 func (s *Schedd) applyEntry(payload []byte) error {
-	kv, err := scanKV(string(payload))
-	if err != nil {
-		return err
+	r := record.NewReader("wal", string(payload))
+	op, id, at := r.Word(), JobID(r.Int("id")), sim.Time(r.Int("at"))
+	j := s.jobs[id]
+	if j == nil && op != "op=submit" {
+		r.Fail("%s record for unknown job %d", op, id)
 	}
-	id, err := parseInt64(kv, "id")
-	if err != nil {
-		return err
-	}
-	at, err := parseInt64(kv, "at")
-	if err != nil {
-		return err
-	}
-	op := kv["op"]
-	if op == "submit" {
-		return s.replaySubmit(JobID(id), sim.Time(at), kv)
-	}
-	j, ok := s.jobs[JobID(id)]
-	if !ok {
-		return fmt.Errorf("%s record for unknown job %d", op, id)
-	}
+	var apply func()
 	switch op {
-	case "match":
-		s.setState(j, JobMatched)
-	case "claim-timeout", "claim-denied":
-		s.setState(j, JobIdle)
-	case "exec":
-		machine, err := unquoted(kv, "machine")
-		if err != nil {
-			return err
+	case "op=submit":
+		nj := readIdent(&r, id, at)
+		apply = func() {
+			s.addJob(nj)
+			s.nextID = max(s.nextID, id)
 		}
-		s.setState(j, JobRunning)
-		j.avoidanceRelaxed = false
-		s.resetFlock(j)
-		j.Attempts = append(j.Attempts, Attempt{Machine: machine, Start: sim.Time(at)})
-	case "relax":
-		j.avoidanceRelaxed = true
-	case "ckpt":
-		cpu, err := parseInt64(kv, "cpu")
-		if err != nil {
-			return err
+	case "op=match":
+		r.Str("machine") // unused: the exec record names the attempt's machine
+		apply = func() { s.setState(j, JobMatched) }
+	case "op=claim-timeout", "op=claim-denied":
+		apply = func() { s.setState(j, JobIdle) }
+	case "op=exec":
+		machine := r.Str("machine")
+		apply = func() {
+			s.setState(j, JobRunning)
+			j.avoidanceRelaxed = false
+			s.resetFlock(j)
+			j.Attempts = append(j.Attempts, Attempt{Machine: machine, Start: at})
 		}
-		if d := durationNS(cpu); d > j.CheckpointCPU {
-			j.CheckpointCPU = d
-		}
-	case "flock":
-		level, err := parseInt64(kv, "level")
-		if err != nil {
-			return err
-		}
-		to, err := unquoted(kv, "to")
-		if err != nil {
-			return err
-		}
-		j.flockedTo, j.flockLevel = to, int(level)
-		j.flockedAt = sim.Time(at)
-	case "final":
-		f, err := decodeFinal(JobID(id), kv)
-		if err != nil {
-			return err
-		}
-		s.applyFinal(j, f, finalError(f), sim.Time(at))
-	case "recover":
-		s.normalizeJob(j, sim.Time(at))
+	case "op=relax":
+		apply = func() { j.avoidanceRelaxed = true }
+	case "op=ckpt":
+		cpu := time.Duration(r.Int("cpu"))
+		apply = func() { j.CheckpointCPU = max(j.CheckpointCPU, cpu) }
+	case "op=flock":
+		level, to := int(r.Int("level")), r.Str("to")
+		apply = func() { j.flockedTo, j.flockLevel, j.flockedAt = to, level, at }
+	case "op=final":
+		f := jobFinalMsg{Job: id, Machine: r.Str("machine"),
+			CPU: time.Duration(r.Int("cpu")), CheckpointCPU: time.Duration(r.Int("ckpt")),
+			Evicted: r.Bool("evicted"), Preempted: r.Flag("pre"), Hold: r.Bool("hold")}
+		readOutcome(&r, &f.FetchError, &f.LostContact, &f.Reported, &f.True)
+		apply = func() { s.applyFinal(j, f, finalError(f), at) }
+	case "op=recover":
+		apply = func() { s.normalizeJob(j, at) }
 	default:
-		return fmt.Errorf("unknown record op %q", op)
+		r.Fail("unknown record op %q", op)
 	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	apply()
 	return nil
 }
 
-func (s *Schedd) replaySubmit(id JobID, at sim.Time, kv map[string]string) error {
-	j := &Job{ID: id, State: JobIdle, Submitted: at}
+// readIdent reads the identity fields identFields wrote into a fresh
+// idle job.
+func readIdent(r *record.Reader, id JobID, at sim.Time) *Job {
+	j := &Job{ID: id, State: JobIdle, Submitted: at,
+		Owner: r.Str("owner"), Universe: r.Str("universe"), Executable: r.Str("exe")}
+	ad, prog := r.Str("ad"), r.Str("prog")
 	var err error
-	if j.Owner, err = unquoted(kv, "owner"); err != nil {
-		return err
-	}
-	if j.Universe, err = unquoted(kv, "universe"); err != nil {
-		return err
-	}
-	if j.Executable, err = unquoted(kv, "exe"); err != nil {
-		return err
-	}
-	adSrc, err := unquoted(kv, "ad")
-	if err != nil {
-		return err
-	}
-	if adSrc != "" {
-		if j.Ad, err = classad.Parse(adSrc); err != nil {
-			return fmt.Errorf("job %d ad: %w", id, err)
+	if ad != "" {
+		if j.Ad, err = classad.Parse(ad); err != nil {
+			r.Fail("job %d ad: %w", id, err)
+		} else {
+			j.Ad.Precompile()
 		}
-		j.Ad.Precompile()
 	}
-	progSrc, err := unquoted(kv, "prog")
-	if err != nil {
-		return err
+	if j.Program, err = jvm.ParseProgram(prog); err != nil {
+		r.Fail("job %d program: %w", id, err)
 	}
-	if j.Program, err = jvm.ParseProgram(progSrc); err != nil {
-		return fmt.Errorf("job %d program: %w", id, err)
-	}
-	s.addJob(j)
-	if id > s.nextID {
-		s.nextID = id
-	}
-	return nil
+	return j
 }
 
-func decodeFinal(id JobID, kv map[string]string) (jobFinalMsg, error) {
-	f := jobFinalMsg{Job: id}
-	var err error
-	if f.Machine, err = unquoted(kv, "machine"); err != nil {
-		return f, err
+// readOutcome reads the fields appendOutcome wrote.
+func readOutcome(r *record.Reader, fetch, lost *error, rep, tru *scope.Result) {
+	*fetch, *lost = readScopedErr(r, "fetch"), readScopedErr(r, "lost")
+	*rep, *tru = readResult(r, "rep"), readResult(r, "tru")
+}
+
+// readScopedErr reads an error encodeScopedErr flattened.
+func readScopedErr(r *record.Reader, key string) error {
+	enc := r.Str(key)
+	if enc == "" {
+		return nil
 	}
-	cpu, err := parseInt64(kv, "cpu")
+	parts := strings.SplitN(enc, "|", 5)
+	if len(parts) != 5 {
+		r.Fail("field %s: malformed error %q", key, enc)
+		return nil
+	}
+	sc, err := scope.ParseScope(parts[0])
 	if err != nil {
-		return f, err
+		r.Fail("field %s: %w", key, err)
 	}
-	ckpt, err := parseInt64(kv, "ckpt")
+	k, err := scope.ParseKind(parts[1])
 	if err != nil {
-		return f, err
+		r.Fail("field %s: %w", key, err)
 	}
-	f.CPU, f.CheckpointCPU = durationNS(cpu), durationNS(ckpt)
-	if f.Evicted, err = parseBool(kv, "evicted"); err != nil {
-		return f, err
+	return &scope.Error{Scope: sc, Kind: k, Code: parts[2],
+		Origin: parts[3], Message: parts[4]}
+}
+
+func readResult(r *record.Reader, key string) scope.Result {
+	res, err := scope.DecodeResultString(r.Str(key))
+	if err != nil && r.Err() == nil {
+		r.Fail("field %s: %w", key, err)
 	}
-	if _, ok := kv["pre"]; ok { // absent in pre-preemption logs
-		if f.Preempted, err = parseBool(kv, "pre"); err != nil {
-			return f, err
+	return res
+}
+
+// readEnum reads a bare enum name: the inverse of String over the
+// enum's first n values.
+func readEnum[E interface {
+	~int
+	String() string
+}](r *record.Reader, key string, n int) E {
+	name := r.Bare(key)
+	for e := E(0); int(e) < n; e++ {
+		if e.String() == name {
+			return e
 		}
 	}
-	if f.Hold, err = parseBool(kv, "hold"); err != nil {
-		return f, err
-	}
-	fetch, err := unquoted(kv, "fetch")
-	if err != nil {
-		return f, err
-	}
-	if f.FetchError, err = decodeScopedErr(fetch); err != nil {
-		return f, err
-	}
-	lost, err := unquoted(kv, "lost")
-	if err != nil {
-		return f, err
-	}
-	if f.LostContact, err = decodeScopedErr(lost); err != nil {
-		return f, err
-	}
-	rep, err := unquoted(kv, "rep")
-	if err != nil {
-		return f, err
-	}
-	if f.Reported, err = scope.DecodeResultString(rep); err != nil {
-		return f, fmt.Errorf("reported result: %w", err)
-	}
-	tru, err := unquoted(kv, "tru")
-	if err != nil {
-		return f, err
-	}
-	if f.True, err = scope.DecodeResultString(tru); err != nil {
-		return f, fmt.Errorf("true result: %w", err)
-	}
-	return f, nil
+	r.Fail("field %s: unknown name %q", key, name)
+	return 0
 }
 
 // --- snapshot --------------------------------------------------------
@@ -664,12 +575,10 @@ func (s *Schedd) snapshot() []byte {
 		s.snapBuf = make([]byte, 0, 256*len(s.jobs))
 	}
 	b := s.snapBuf[:0]
-	b = append(b, "schedd nextID="...)
-	b = strconv.AppendInt(b, int64(s.nextID), 10)
-	b = append(b, " requeues="...)
-	b = strconv.AppendInt(b, int64(s.Requeues), 10)
-	b = append(b, " recoveries="...)
-	b = strconv.AppendInt(b, int64(s.Recoveries), 10)
+	b = append(b, "schedd"...)
+	b = record.AppendInt(b, "nextID", int64(s.nextID))
+	b = record.AppendInt(b, "requeues", int64(s.Requeues))
+	b = record.AppendInt(b, "recoveries", int64(s.Recoveries))
 	b = append(b, '\n')
 	machines := make([]string, 0, len(s.machineFailures))
 	for m, rec := range s.machineFailures {
@@ -680,32 +589,23 @@ func (s *Schedd) snapshot() []byte {
 	sort.Strings(machines)
 	for _, m := range machines {
 		rec := s.machineFailures[m]
-		b = append(b, "failure machine="...)
-		b = scope.AppendQuote(b, m)
-		b = append(b, " count="...)
-		b = strconv.AppendInt(b, int64(rec.count), 10)
-		b = append(b, " last="...)
-		b = strconv.AppendInt(b, int64(rec.last), 10)
+		b = append(b, "failure"...)
+		b = record.AppendStr(b, "machine", m)
+		b = record.AppendInt(b, "count", int64(rec.count))
+		b = record.AppendInt(b, "last", int64(rec.last))
 		b = append(b, '\n')
 	}
 	for _, id := range s.order {
 		j := s.jobs[id]
-		b = append(b, "job id="...)
-		b = strconv.AppendInt(b, int64(j.ID), 10)
-		b = append(b, ' ')
-		b = append(b, j.identLine()...)
-		b = append(b, " state="...)
-		b = append(b, j.State.String()...)
-		b = append(b, " ckpt="...)
-		b = strconv.AppendInt(b, int64(j.CheckpointCPU), 10)
-		b = append(b, " relaxed="...)
-		b = strconv.AppendBool(b, j.avoidanceRelaxed)
-		b = append(b, " submitted="...)
-		b = strconv.AppendInt(b, int64(j.Submitted), 10)
-		b = append(b, " finished="...)
-		b = strconv.AppendInt(b, int64(j.Finished), 10)
-		b = append(b, " finalerr="...)
-		b = scope.AppendQuote(b, encodeScopedErr(j.FinalErr))
+		b = append(b, "job"...)
+		b = record.AppendInt(b, "id", int64(j.ID))
+		b = append(b, j.identFields()...)
+		b = record.AppendBare(b, "state", j.State.String())
+		b = record.AppendInt(b, "ckpt", int64(j.CheckpointCPU))
+		b = record.AppendBool(b, "relaxed", j.avoidanceRelaxed)
+		b = record.AppendInt(b, "submitted", int64(j.Submitted))
+		b = record.AppendInt(b, "finished", int64(j.Finished))
+		b = record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr))
 		b = append(b, '\n')
 		b = j.appendAttempts(b)
 	}
@@ -742,350 +642,85 @@ func (j *Job) appendAttempts(b []byte) []byte {
 }
 
 func appendAttempt(b []byte, id JobID, a *Attempt) []byte {
-	b = append(b, "attempt id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, a.Machine)
-	b = append(b, " start="...)
-	b = strconv.AppendInt(b, int64(a.Start), 10)
-	b = append(b, " end="...)
-	b = strconv.AppendInt(b, int64(a.End), 10)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(a.CPU), 10)
-	b = append(b, " evicted="...)
-	b = strconv.AppendBool(b, a.Evicted)
-	if a.Preempted {
-		b = append(b, " pre=true"...)
-	}
-	b = append(b, " fetch="...)
-	b = scope.AppendQuote(b, encodeScopedErr(a.FetchError))
-	b = append(b, " lost="...)
-	b = scope.AppendQuote(b, encodeScopedErr(a.LostContact))
-	b = append(b, " rep="...)
-	b = scope.AppendQuote(b, a.Reported.EncodeString())
-	b = append(b, " tru="...)
-	b = scope.AppendQuote(b, a.True.EncodeString())
+	b = append(b, "attempt"...)
+	b = record.AppendInt(b, "id", int64(id))
+	b = record.AppendStr(b, "machine", a.Machine)
+	b = record.AppendInt(b, "start", int64(a.Start))
+	b = record.AppendInt(b, "end", int64(a.End))
+	b = record.AppendInt(b, "cpu", int64(a.CPU))
+	b = record.AppendBool(b, "evicted", a.Evicted)
+	b = record.AppendFlag(b, "pre", a.Preempted)
+	b = appendOutcome(b, a.FetchError, a.LostContact, &a.Reported, &a.True)
 	return append(b, '\n')
 }
 
 func appendReport(b []byte, r *UserReport) []byte {
-	b = append(b, "report job="...)
-	b = strconv.AppendInt(b, int64(r.Job), 10)
-	b = append(b, " disp="...)
-	b = append(b, r.Disposition.String()...)
-	b = append(b, " result="...)
-	b = scope.AppendQuote(b, r.Result.EncodeString())
-	b = append(b, " err="...)
-	b = scope.AppendQuote(b, encodeScopedErr(r.Err))
-	b = append(b, " leak="...)
-	b = strconv.AppendBool(b, r.IncidentalLeak)
+	b = append(b, "report"...)
+	b = record.AppendInt(b, "job", int64(r.Job))
+	b = record.AppendBare(b, "disp", r.Disposition.String())
+	b = record.AppendStr(b, "result", r.Result.EncodeString())
+	b = record.AppendStr(b, "err", encodeScopedErr(r.Err))
+	b = record.AppendBool(b, "leak", r.IncidentalLeak)
 	return append(b, '\n')
 }
 
+// applySnapshot rebuilds the queue from a snapshot, one line at a
+// time, in the order snapshot wrote them.
 func (s *Schedd) applySnapshot(data []byte) error {
-	var cur *Job
-	for ln, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(line, " ")
-		kv, err := scanKV(rest)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		switch kind {
+	var cur *Job // the job the following attempt lines belong to
+	for ln, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		r := record.NewReader("snapshot", line)
+		var apply func()
+		switch kind := r.Word(); kind {
 		case "schedd":
-			if v, err := parseInt64(kv, "nextID"); err != nil {
-				return err
-			} else {
-				s.nextID = JobID(v)
-			}
-			if v, err := parseInt64(kv, "requeues"); err != nil {
-				return err
-			} else {
-				s.Requeues = int(v)
-			}
-			if v, err := parseInt64(kv, "recoveries"); err != nil {
-				return err
-			} else {
-				s.Recoveries = int(v)
+			next, requeues, recoveries := r.Int("nextID"), r.Int("requeues"), r.Int("recoveries")
+			apply = func() {
+				s.nextID, s.Requeues, s.Recoveries = JobID(next), int(requeues), int(recoveries)
 			}
 		case "failure":
-			m, err := unquoted(kv, "machine")
-			if err != nil {
-				return err
+			m := r.Str("machine")
+			rec := failureRecord{count: int(r.Int("count")), last: sim.Time(r.Int("last"))}
+			apply = func() {
+				s.machineFailures[m] = rec
+				s.avoidedDirty = true
 			}
-			n, err := parseInt64(kv, "count")
-			if err != nil {
-				return err
-			}
-			rec := failureRecord{count: int(n)}
-			if _, ok := kv["last"]; ok { // absent in pre-expiry logs
-				last, err := parseInt64(kv, "last")
-				if err != nil {
-					return err
-				}
-				rec.last = sim.Time(last)
-			}
-			s.machineFailures[m] = rec
-			s.avoidedDirty = true
 		case "job":
-			if cur, err = s.snapshotJob(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
+			j := readIdent(&r, JobID(r.Int("id")), 0)
+			st := readEnum[JobState](&r, "state", len(jobStateNames))
+			j.CheckpointCPU = time.Duration(r.Int("ckpt"))
+			j.avoidanceRelaxed = r.Bool("relaxed")
+			j.Submitted, j.Finished = sim.Time(r.Int("submitted")), sim.Time(r.Int("finished"))
+			j.FinalErr = readScopedErr(&r, "finalerr")
+			apply = func() {
+				s.addJob(j)
+				s.nextID = max(s.nextID, j.ID)
+				s.setState(j, st)
+				cur = j
 			}
 		case "attempt":
-			if cur == nil {
-				return fmt.Errorf("line %d: attempt before job", ln+1)
+			id := JobID(r.Int("id"))
+			a := Attempt{Machine: r.Str("machine"), Start: sim.Time(r.Int("start")),
+				End: sim.Time(r.Int("end")), CPU: time.Duration(r.Int("cpu")),
+				Evicted: r.Bool("evicted"), Preempted: r.Flag("pre")}
+			readOutcome(&r, &a.FetchError, &a.LostContact, &a.Reported, &a.True)
+			if cur == nil || cur.ID != id {
+				r.Fail("attempt of job %d outside its job's lines", id)
 			}
-			if err := snapshotAttempt(cur, kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
+			apply = func() { cur.Attempts = append(cur.Attempts, a) }
 		case "report":
-			if err := s.snapshotReport(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
+			rep := UserReport{Job: JobID(r.Int("job")),
+				Disposition:    readEnum[scope.Disposition](&r, "disp", int(scope.DispositionHold)+1),
+				Result:         readResult(&r, "result"),
+				Err:            readScopedErr(&r, "err"),
+				IncidentalLeak: r.Bool("leak")}
+			apply = func() { s.Reports = append(s.Reports, rep) }
 		default:
-			return fmt.Errorf("line %d: unknown snapshot line %q", ln+1, kind)
+			r.Fail("unknown snapshot line %q", kind)
 		}
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("line %d: %w", ln+1, err)
+		}
+		apply()
 	}
 	return nil
-}
-
-func (s *Schedd) snapshotJob(kv map[string]string) (*Job, error) {
-	id, err := parseInt64(kv, "id")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.replaySubmit(JobID(id), 0, kv); err != nil {
-		return nil, err
-	}
-	j := s.jobs[JobID(id)]
-	st, err := parseJobState(kv["state"])
-	if err != nil {
-		return nil, err
-	}
-	s.setState(j, st)
-	ckpt, err := parseInt64(kv, "ckpt")
-	if err != nil {
-		return nil, err
-	}
-	j.CheckpointCPU = durationNS(ckpt)
-	if j.avoidanceRelaxed, err = parseBool(kv, "relaxed"); err != nil {
-		return nil, err
-	}
-	sub, err := parseInt64(kv, "submitted")
-	if err != nil {
-		return nil, err
-	}
-	fin, err := parseInt64(kv, "finished")
-	if err != nil {
-		return nil, err
-	}
-	j.Submitted, j.Finished = sim.Time(sub), sim.Time(fin)
-	fe, err := unquoted(kv, "finalerr")
-	if err != nil {
-		return nil, err
-	}
-	if j.FinalErr, err = decodeScopedErr(fe); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-func snapshotAttempt(j *Job, kv map[string]string) error {
-	var a Attempt
-	var err error
-	if a.Machine, err = unquoted(kv, "machine"); err != nil {
-		return err
-	}
-	start, err := parseInt64(kv, "start")
-	if err != nil {
-		return err
-	}
-	end, err := parseInt64(kv, "end")
-	if err != nil {
-		return err
-	}
-	cpu, err := parseInt64(kv, "cpu")
-	if err != nil {
-		return err
-	}
-	a.Start, a.End, a.CPU = sim.Time(start), sim.Time(end), durationNS(cpu)
-	if a.Evicted, err = parseBool(kv, "evicted"); err != nil {
-		return err
-	}
-	if _, ok := kv["pre"]; ok { // absent in pre-preemption logs
-		if a.Preempted, err = parseBool(kv, "pre"); err != nil {
-			return err
-		}
-	}
-	fetch, err := unquoted(kv, "fetch")
-	if err != nil {
-		return err
-	}
-	if a.FetchError, err = decodeScopedErr(fetch); err != nil {
-		return err
-	}
-	lost, err := unquoted(kv, "lost")
-	if err != nil {
-		return err
-	}
-	if a.LostContact, err = decodeScopedErr(lost); err != nil {
-		return err
-	}
-	rep, err := unquoted(kv, "rep")
-	if err != nil {
-		return err
-	}
-	if a.Reported, err = scope.DecodeResultString(rep); err != nil {
-		return err
-	}
-	tru, err := unquoted(kv, "tru")
-	if err != nil {
-		return err
-	}
-	if a.True, err = scope.DecodeResultString(tru); err != nil {
-		return err
-	}
-	j.Attempts = append(j.Attempts, a)
-	return nil
-}
-
-func (s *Schedd) snapshotReport(kv map[string]string) error {
-	var r UserReport
-	job, err := parseInt64(kv, "job")
-	if err != nil {
-		return err
-	}
-	r.Job = JobID(job)
-	if r.Disposition, err = parseDisposition(kv["disp"]); err != nil {
-		return err
-	}
-	res, err := unquoted(kv, "result")
-	if err != nil {
-		return err
-	}
-	if r.Result, err = scope.DecodeResultString(res); err != nil {
-		return err
-	}
-	enc, err := unquoted(kv, "err")
-	if err != nil {
-		return err
-	}
-	if r.Err, err = decodeScopedErr(enc); err != nil {
-		return err
-	}
-	if r.IncidentalLeak, err = parseBool(kv, "leak"); err != nil {
-		return err
-	}
-	s.Reports = append(s.Reports, r)
-	return nil
-}
-
-// --- parsing helpers -------------------------------------------------
-
-// scanKV splits one record line into key=value pairs.  Values are
-// either bare tokens (numbers, names) or Go-quoted strings that may
-// contain spaces, quotes, and newlines.
-func scanKV(line string) (map[string]string, error) {
-	kv := make(map[string]string)
-	for i := 0; i < len(line); {
-		if line[i] == ' ' {
-			i++
-			continue
-		}
-		eq := strings.IndexByte(line[i:], '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("no '=' in %q", line[i:])
-		}
-		key := line[i : i+eq]
-		i += eq + 1
-		var val string
-		if i < len(line) && line[i] == '"' {
-			j := i + 1
-			for j < len(line) {
-				if line[j] == '\\' {
-					j += 2
-					continue
-				}
-				if line[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(line) {
-				return nil, fmt.Errorf("unterminated quote for %q", key)
-			}
-			val = line[i : j+1]
-			i = j + 1
-		} else {
-			end := strings.IndexByte(line[i:], ' ')
-			if end < 0 {
-				end = len(line) - i
-			}
-			val = line[i : i+end]
-			i += end
-		}
-		kv[key] = val
-	}
-	return kv, nil
-}
-
-func unquoted(kv map[string]string, key string) (string, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return "", fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.Unquote(raw)
-	if err != nil {
-		return "", fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func parseInt64(kv map[string]string, key string) (int64, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func parseBool(kv map[string]string, key string) (bool, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return false, fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func durationNS(n int64) time.Duration { return time.Duration(n) }
-
-func parseJobState(name string) (JobState, error) {
-	for i, n := range jobStateNames {
-		if n == name {
-			return JobState(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown job state %q", name)
-}
-
-func parseDisposition(name string) (scope.Disposition, error) {
-	for _, d := range []scope.Disposition{
-		scope.DispositionComplete, scope.DispositionUnexecutable,
-		scope.DispositionRequeue, scope.DispositionHold,
-	} {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown disposition %q", name)
 }

@@ -1,25 +1,18 @@
 package monitor
 
 import (
-	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
-
 	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/record"
 )
 
 // The monitor stream codec.  Every record that crosses the ops-plane
 // boundary — a streamed obs event, a pool-metrics snapshot, a
 // subscribe request, an admin verb and its acknowledgement — travels
-// as a canonical one-line text record: fixed field order, Go-quoted
-// strings, canonical integers, and a CRC-32 trailer over everything
-// before it, exactly the discipline of the flock and checkpoint
-// codecs.  Canonical means Parse(Encode(x)) == x and re-encoding any
-// accepted line reproduces it byte for byte — the property the fuzz
-// targets pin.  Nothing here prefix-guesses: a field out of order, a
-// non-canonical spelling, or a CRC that does not hold is a parse
-// error scoped at the network (the record is damaged, not the pool).
+// as a sealed canonical record (package record): fixed field order,
+// Go-quoted strings, canonical integers, and a CRC-32 trailer over
+// everything before it.  A field out of order, a non-canonical
+// spelling, or a CRC that does not hold is a parse error scoped at the
+// network (the record is damaged, not the pool).
 //
 //	mev t=60000000000 comp="big" kind="state" job=1 code="evicted" scope="" ekind="" detail="" value=0 crc=1a2b3c4d
 //	mmet t=60000000000 jobs=4 completed=2 ... lost=0 crc=9f43aa10
@@ -63,64 +56,29 @@ type Snapshot struct {
 // EncodeEvent renders the canonical record of one streamed obs event.
 // Every field is present, zero or not: a fixed shape parses strictly.
 func EncodeEvent(ev obs.Event) string {
-	var sb strings.Builder
-	sb.WriteString("mev t=")
-	sb.WriteString(strconv.FormatInt(ev.T, 10))
-	appendStr(&sb, "comp", ev.Comp)
-	appendStr(&sb, "kind", ev.Kind)
-	sb.WriteString(" job=")
-	sb.WriteString(strconv.FormatInt(ev.Job, 10))
-	appendStr(&sb, "code", ev.Code)
-	appendStr(&sb, "scope", ev.Scope)
-	appendStr(&sb, "ekind", ev.EKind)
-	appendStr(&sb, "detail", ev.Detail)
-	sb.WriteString(" value=")
-	sb.WriteString(strconv.FormatInt(ev.Value, 10))
-	return sealRecord(&sb)
+	n := len(ev.Comp) + len(ev.Kind) + len(ev.Code) + len(ev.Scope) + len(ev.EKind) + len(ev.Detail)
+	b := append(make([]byte, 0, 128+n), "mev"...)
+	b = record.AppendInt(b, "t", ev.T)
+	b = record.AppendStr(b, "comp", ev.Comp)
+	b = record.AppendStr(b, "kind", ev.Kind)
+	b = record.AppendInt(b, "job", ev.Job)
+	b = record.AppendStr(b, "code", ev.Code)
+	b = record.AppendStr(b, "scope", ev.Scope)
+	b = record.AppendStr(b, "ekind", ev.EKind)
+	b = record.AppendStr(b, "detail", ev.Detail)
+	b = record.AppendInt(b, "value", ev.Value)
+	return string(record.Seal(b))
 }
 
 // ParseEvent decodes one streamed event record, strictly.
 func ParseEvent(s string) (obs.Event, error) {
-	var ev obs.Event
-	rest, ok := strings.CutPrefix(s, "mev ")
-	if !ok {
-		return ev, fmt.Errorf("monitor: not an event record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return ev, err
-	}
-	var err error
-	if ev.T, err = cutInt(&rest, "t"); err != nil {
-		return ev, err
-	}
-	if ev.Comp, err = cutStr(&rest, "comp"); err != nil {
-		return ev, err
-	}
-	if ev.Kind, err = cutStr(&rest, "kind"); err != nil {
-		return ev, err
-	}
-	if ev.Job, err = cutInt(&rest, "job"); err != nil {
-		return ev, err
-	}
-	if ev.Code, err = cutStr(&rest, "code"); err != nil {
-		return ev, err
-	}
-	if ev.Scope, err = cutStr(&rest, "scope"); err != nil {
-		return ev, err
-	}
-	if ev.EKind, err = cutStr(&rest, "ekind"); err != nil {
-		return ev, err
-	}
-	if ev.Detail, err = cutStr(&rest, "detail"); err != nil {
-		return ev, err
-	}
-	if ev.Value, err = cutInt(&rest, "value"); err != nil {
-		return ev, err
-	}
-	if rest != "" {
-		return ev, fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return ev, nil
+	r := record.NewReader("monitor", s)
+	r.Expect("mev")
+	ev := obs.Event{T: r.Int("t"), Comp: r.Str("comp"), Kind: r.Str("kind"),
+		Job: r.Int("job"), Code: r.Str("code"), Scope: r.Str("scope"),
+		EKind: r.Str("ekind"), Detail: r.Str("detail"), Value: r.Int("value")}
+	r.Sealed()
+	return ev, r.Done()
 }
 
 // snapFields fixes the wire order of the snapshot record.
@@ -136,233 +94,70 @@ func (m *Snapshot) fieldPtrs() []*int64 {
 
 // EncodeSnapshot renders the canonical pool-metrics record.
 func EncodeSnapshot(m Snapshot) string {
-	var sb strings.Builder
-	sb.WriteString("mmet")
+	b := append(make([]byte, 0, 256), "mmet"...)
 	for i, p := range m.fieldPtrs() {
-		sb.WriteByte(' ')
-		sb.WriteString(snapFields[i])
-		sb.WriteByte('=')
-		sb.WriteString(strconv.FormatInt(*p, 10))
+		b = record.AppendInt(b, snapFields[i], *p)
 	}
-	return sealRecord(&sb)
+	return string(record.Seal(b))
 }
 
 // ParseSnapshot decodes one pool-metrics record, strictly.
 func ParseSnapshot(s string) (Snapshot, error) {
 	var m Snapshot
-	rest, ok := strings.CutPrefix(s, "mmet ")
-	if !ok {
-		return m, fmt.Errorf("monitor: not a metrics record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return m, err
-	}
+	r := record.NewReader("monitor", s)
+	r.Expect("mmet")
 	for i, p := range m.fieldPtrs() {
-		v, err := cutInt(&rest, snapFields[i])
-		if err != nil {
-			return m, err
-		}
-		*p = v
+		*p = r.Int(snapFields[i])
 	}
-	if rest != "" {
-		return m, fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return m, nil
+	r.Sealed()
+	return m, r.Done()
 }
 
 // EncodeSub renders a subscribe request: stream events from the given
 // index (0 = full backlog).
 func EncodeSub(from int64) string {
-	var sb strings.Builder
-	sb.WriteString("msub from=")
-	sb.WriteString(strconv.FormatInt(from, 10))
-	return sealRecord(&sb)
+	return string(record.Seal(record.AppendInt([]byte("msub"), "from", from)))
 }
 
 // ParseSub decodes one subscribe request, strictly.
 func ParseSub(s string) (int64, error) {
-	rest, ok := strings.CutPrefix(s, "msub ")
-	if !ok {
-		return 0, fmt.Errorf("monitor: not a subscribe record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return 0, err
-	}
-	from, err := cutInt(&rest, "from")
-	if err != nil {
-		return 0, err
-	}
-	if rest != "" {
-		return 0, fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
+	r := record.NewReader("monitor", s)
+	r.Expect("msub")
+	from := r.Int("from")
+	r.Sealed()
 	if from < 0 {
-		return 0, fmt.Errorf("monitor: negative subscribe index %d", from)
+		r.Fail("negative subscribe index %d", from)
 	}
-	return from, nil
+	return from, r.Done()
 }
 
 // EncodeAdmin renders an admin verb request.
 func EncodeAdmin(verb, target string) string {
-	var sb strings.Builder
-	sb.WriteString("madm")
-	appendStr(&sb, "verb", verb)
-	appendStr(&sb, "target", target)
-	return sealRecord(&sb)
+	b := record.AppendStr([]byte("madm"), "verb", verb)
+	return string(record.Seal(record.AppendStr(b, "target", target)))
 }
 
 // ParseAdmin decodes one admin verb request, strictly.
 func ParseAdmin(s string) (verb, target string, err error) {
-	rest, ok := strings.CutPrefix(s, "madm ")
-	if !ok {
-		return "", "", fmt.Errorf("monitor: not an admin record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return "", "", err
-	}
-	if verb, err = cutStr(&rest, "verb"); err != nil {
-		return "", "", err
-	}
-	if target, err = cutStr(&rest, "target"); err != nil {
-		return "", "", err
-	}
-	if rest != "" {
-		return "", "", fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return verb, target, nil
+	r := record.NewReader("monitor", s)
+	r.Expect("madm")
+	verb, target = r.Str("verb"), r.Str("target")
+	r.Sealed()
+	return verb, target, r.Done()
 }
 
 // EncodeAdminOK renders the acknowledgement of a completed admin verb.
 func EncodeAdminOK(verb, target, detail string) string {
-	var sb strings.Builder
-	sb.WriteString("mok")
-	appendStr(&sb, "verb", verb)
-	appendStr(&sb, "target", target)
-	appendStr(&sb, "detail", detail)
-	return sealRecord(&sb)
+	b := record.AppendStr([]byte("mok"), "verb", verb)
+	b = record.AppendStr(b, "target", target)
+	return string(record.Seal(record.AppendStr(b, "detail", detail)))
 }
 
 // ParseAdminOK decodes one admin acknowledgement, strictly.
 func ParseAdminOK(s string) (verb, target, detail string, err error) {
-	rest, ok := strings.CutPrefix(s, "mok ")
-	if !ok {
-		return "", "", "", fmt.Errorf("monitor: not an admin ack: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return "", "", "", err
-	}
-	if verb, err = cutStr(&rest, "verb"); err != nil {
-		return "", "", "", err
-	}
-	if target, err = cutStr(&rest, "target"); err != nil {
-		return "", "", "", err
-	}
-	if detail, err = cutStr(&rest, "detail"); err != nil {
-		return "", "", "", err
-	}
-	if rest != "" {
-		return "", "", "", fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return verb, target, detail, nil
-}
-
-// --- codec internals -------------------------------------------------
-
-// appendStr appends ` key="quoted"` to the record under construction.
-func appendStr(sb *strings.Builder, key, v string) {
-	sb.WriteByte(' ')
-	sb.WriteString(key)
-	sb.WriteByte('=')
-	sb.WriteString(strconv.Quote(v))
-}
-
-// sealRecord appends the CRC trailer over the bytes built so far.
-func sealRecord(sb *strings.Builder) string {
-	sum := crc32.ChecksumIEEE([]byte(sb.String()))
-	fmt.Fprintf(sb, " crc=%08x", sum)
-	return sb.String()
-}
-
-// checkCRC validates the record's trailer against the bytes it covers
-// and trims it (plus its leading space) off *rest.
-func checkCRC(s string, rest *string) error {
-	i := strings.LastIndex(*rest, " crc=")
-	if i < 0 {
-		return fmt.Errorf("monitor: record has no crc trailer: %q", s)
-	}
-	raw := (*rest)[i+len(" crc="):]
-	if len(raw) != 8 {
-		return fmt.Errorf("monitor: crc %q is not 8 hex digits", raw)
-	}
-	sum, err := strconv.ParseUint(raw, 16, 32)
-	if err != nil {
-		return fmt.Errorf("monitor: field crc: %v", err)
-	}
-	// Canonical hex only: ParseUint accepts uppercase, which would
-	// re-encode differently and break the round trip.
-	if raw != fmt.Sprintf("%08x", uint32(sum)) {
-		return fmt.Errorf("monitor: non-canonical crc=%q", raw)
-	}
-	covered := s[:len(s)-len(" crc=")-8]
-	if got := crc32.ChecksumIEEE([]byte(covered)); got != uint32(sum) {
-		return fmt.Errorf("monitor: crc mismatch: record says %08x, bytes say %08x",
-			uint32(sum), got)
-	}
-	*rest = (*rest)[:i]
-	return nil
-}
-
-// cutInt consumes "key=<int64>" (and the single space after it, when
-// more fields follow) from the front of *rest.
-func cutInt(rest *string, key string) (int64, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("monitor: expected %s= at %q", key, *rest)
-	}
-	raw := r
-	if j := strings.IndexByte(r, ' '); j >= 0 {
-		raw, r = r[:j], r[j+1:]
-	} else {
-		r = ""
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("monitor: field %s: %v", key, err)
-	}
-	// Reject non-canonical spellings ("+2", "007") that ParseInt
-	// accepts: they would re-encode differently.
-	if raw != strconv.FormatInt(v, 10) {
-		return 0, fmt.Errorf("monitor: non-canonical %s=%q", key, raw)
-	}
-	*rest = r
-	return v, nil
-}
-
-// cutStr consumes `key="quoted"` (and the single space after it, when
-// more fields follow) from the front of *rest.  Only the canonical
-// strconv.Quote spelling is accepted: a value that unquotes fine but
-// would re-quote differently is rejected.
-func cutStr(rest *string, key string) (string, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return "", fmt.Errorf("monitor: expected %s= at %q", key, *rest)
-	}
-	raw, err := strconv.QuotedPrefix(r)
-	if err != nil {
-		return "", fmt.Errorf("monitor: field %s: %v", key, err)
-	}
-	v, err := strconv.Unquote(raw)
-	if err != nil {
-		return "", fmt.Errorf("monitor: field %s: %v", key, err)
-	}
-	if raw != strconv.Quote(v) {
-		return "", fmt.Errorf("monitor: non-canonical %s=%s", key, raw)
-	}
-	r = r[len(raw):]
-	if strings.HasPrefix(r, " ") {
-		r = r[1:]
-	} else if r != "" {
-		return "", fmt.Errorf("monitor: expected space after %s at %q", key, r)
-	}
-	*rest = r
-	return v, nil
+	r := record.NewReader("monitor", s)
+	r.Expect("mok")
+	verb, target, detail = r.Str("verb"), r.Str("target"), r.Str("detail")
+	r.Sealed()
+	return verb, target, detail, r.Done()
 }

@@ -53,7 +53,7 @@ type Config struct {
 	Clock Clock
 
 	// Recorder is the pool trace the monitor streams.  The monitor
-	// only ever reads it (Events is a snapshot copy), so a slow or
+	// only ever reads it (EventsFrom is a snapshot copy), so a slow or
 	// dead subscriber cannot block an emitting daemon.
 	Recorder *obs.Recorder
 
@@ -202,7 +202,13 @@ func (m *Monitor) Pump() {
 	if m.killed || len(m.subs) == 0 {
 		return
 	}
-	events := m.cfg.Recorder.Events()
+	// Copy the log once, from the lowest cursor: every subscriber's
+	// unread tail lies within it.
+	base := m.subs[0].next
+	for _, sub := range m.subs[1:] {
+		base = min(base, sub.next)
+	}
+	tail, total := m.cfg.Recorder.EventsFrom(base)
 	var snap Snapshot
 	haveSnap := false
 	if m.cfg.Metrics != nil {
@@ -211,7 +217,7 @@ func (m *Monitor) Pump() {
 	}
 	live := m.subs[:0]
 	for _, sub := range m.subs {
-		if !m.stream(sub, events, snap, haveSnap) {
+		if !m.stream(sub, tail, base, total, snap, haveSnap) {
 			continue
 		}
 		live = append(live, sub)
@@ -223,15 +229,16 @@ func (m *Monitor) Pump() {
 	m.subs = live
 }
 
-// stream sends one subscriber its backlog and the snapshot; false
-// means the subscriber is gone and was closed.
-func (m *Monitor) stream(sub *subscriber, events []obs.Event, snap Snapshot, haveSnap bool) bool {
-	if sub.next > len(events) {
+// stream sends one subscriber its backlog and the snapshot; tail holds
+// the log from index base on, of total events.  False means the
+// subscriber is gone and was closed.
+func (m *Monitor) stream(sub *subscriber, tail []obs.Event, base, total int, snap Snapshot, haveSnap bool) bool {
+	if sub.next > total {
 		// A cursor past the log means the subscriber asked to start
 		// in the future; it picks up when the log catches up.
 		return true
 	}
-	for _, ev := range events[sub.next:] {
+	for _, ev := range tail[sub.next-base:] {
 		if m.cfg.Normalize {
 			ev.T = 0
 			ev.Detail = ""

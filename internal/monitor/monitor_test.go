@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/errscope/grid/internal/obs"
 	"github.com/errscope/grid/internal/pool"
 	"github.com/errscope/grid/internal/scope"
+	"github.com/errscope/grid/internal/sim"
 )
 
 // testPool builds a small Standard Universe workload with a recorder
@@ -411,5 +413,34 @@ func TestAdminRestartScheddMidRun(t *testing.T) {
 	}
 	if m.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", m.Recoveries)
+	}
+}
+
+// TestPumpCopiesOnlyTheTail pins the pump's cost to the unread tail of
+// the event log: a pump with nothing new to stream must not copy a
+// long, already-delivered history (the copy grew quadratically with
+// run length when every pump snapshotted the whole log).
+func TestPumpCopiesOnlyTheTail(t *testing.T) {
+	const n = 100_000
+	rec := obs.NewRecorder()
+	for i := 0; i < n; i++ {
+		rec.Emit(obs.Event{T: int64(i), Comp: "schedd", Kind: obs.KindState})
+	}
+	mon := New(Config{Name: "mon", Clock: sim.New(1), Recorder: rec})
+	c := NewCollector()
+	if err := mon.Subscribe(c, n); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mon.Pump()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("an idle pump over %d delivered events allocated %d bytes", n, got)
+	}
+	rec.Emit(obs.Event{T: n, Comp: "schedd", Kind: obs.KindState, Code: "late"})
+	mon.Pump()
+	if evs := c.Events(); len(evs) != 1 || evs[0].Code != "late" {
+		t.Fatalf("streamed %+v, want only the new event", evs)
 	}
 }

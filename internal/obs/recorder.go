@@ -82,6 +82,19 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
+// EventsFrom returns a copy of the events from index i on, and the
+// total number recorded.  A reader that keeps a cursor into the log
+// copies only its unread tail, not the whole history.
+func (r *Recorder) EventsFrom(i int) ([]Event, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.events)
+	if i >= n {
+		return nil, n
+	}
+	return append([]Event(nil), r.events[i:]...), n
+}
+
 // Counter returns the named counter's value.
 func (r *Recorder) Counter(name string) int64 {
 	r.mu.Lock()
