@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fuzz-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
+.PHONY: check vet determinism-grep build test race cover perfbench-test journal-smoke wire-smoke fuzz-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
 
 ## check: the full gate — vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
@@ -8,9 +8,9 @@ GO ?= go
 ## coverage floors), the write-ahead-journal race smoke, the wire-codec
 ## and transport smoke, the bounded record-codec fuzz smoke, the
 ## fault-injection smoke matrix, the small-shape pool-throughput smoke,
-## the federation smoke, the machine-churn determinism smoke, then the
-## ops-plane smoke.
-check: vet determinism-grep build race cover journal-smoke wire-smoke fuzz-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke
+## the federation smoke, the machine-churn determinism smoke, the
+## ops-plane smoke, then the benchmark runner's own tests.
+check: vet determinism-grep build race cover journal-smoke wire-smoke fuzz-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -75,6 +75,13 @@ cover:
 			} \
 			END { if (!found) { printf "FAIL: no coverage reported for %s\n", pkg; exit 1 } }' cover.txt || exit 1; \
 	done
+
+## perfbench-test: the benchmark runner's helper tests.  perfbench is
+## a nested module, so `go test ./...` at the root never reaches it;
+## the module proxy is off because its only dependency is this
+## checkout.
+perfbench-test:
+	cd perfbench && GOFLAGS= GOPROXY=off $(GO) test ./...
 
 ## journal-smoke: the schedd write-ahead journal under the race
 ## detector — concurrent append/compact/replay plus the torn-tail and

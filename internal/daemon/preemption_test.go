@@ -227,3 +227,30 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		t.Errorf("checkpoint = %v", j.CheckpointCPU)
 	}
 }
+
+// TestClaimWithoutPreemptionBuildsNoClaimedAd pins the claim path's
+// ad reuse: with preemption off nothing ever advertises a claimed
+// machine, so a full claim → run → release cycle must leave the
+// claimed-state adCache slots empty — the incumbent's Rank is scored
+// against the unclaimed ad the job was matched on.
+func TestClaimWithoutPreemptionBuildsNoClaimedAd(t *testing.T) {
+	eng, _, schedd, _, startds := testPool(t, DefaultParams(), goodMachine("m1"))
+	id := submitJavaJob(schedd, jvm.WellBehaved(5*time.Minute))
+	runUntilDone(t, eng, schedd, 2*time.Hour)
+
+	if j := schedd.Job(id); j.State != JobCompleted {
+		t.Fatalf("state = %v, err = %v", j.State, j.FinalErr)
+	}
+	s := startds[0]
+	if s.ClaimsGranted != 1 || s.State() != StartdUnclaimed {
+		t.Fatalf("claims granted = %d, state = %v; want one released claim", s.ClaimsGranted, s.State())
+	}
+	for key, ad := range s.adCache {
+		if key&1 != 0 && ad != nil {
+			t.Errorf("adCache[%d] holds a claimed-state ad", key)
+		}
+	}
+	if s.adCache[2] == nil {
+		t.Error("the unclaimed Java ad was never cached")
+	}
+}

@@ -494,14 +494,19 @@ func (s *Startd) handleClaim(req claimRequestMsg) {
 		deny("machine already claimed")
 		return
 	}
-	if !classad.Match(s.buildAd(), req.JobAd) {
+	ad := s.buildAd()
+	if !classad.Match(ad, req.JobAd) {
 		deny("requirements not met at claim time")
 		return
 	}
+	// The incumbent's Rank is scored against the unclaimed ad the job
+	// was just matched on — the ad the matchmaker ranked — before the
+	// state flip, so a grant never builds the claimed-state ad, which
+	// only preemption mode advertises.
+	s.incumbentRank = classad.Rank(req.JobAd, ad)
 	s.state = StartdClaimed
 	s.claimedBy = req.Schedd
 	s.claimedJob = req.Job
-	s.incumbentRank = classad.Rank(req.JobAd, s.buildAd())
 	s.claimGen++
 	s.armLease()
 	s.ClaimsGranted++

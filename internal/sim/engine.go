@@ -40,8 +40,12 @@ type event struct {
 	at    Time
 	seq   uint64 // insertion order; breaks ties deterministically
 	fn    func()
-	index int    // heap index; -1 removed/popped, stagedIndex pending barrier insert
+	index int    // head-heap index; chainedIndex queued behind a head, -1 removed/popped, stagedIndex pending barrier insert
 	gen   uint64 // incarnation counter for Timer validity
+	// next and prev link the event into its instant chain (see
+	// eventQueue): a circular list in seq order whose first element is
+	// the chain head.  Both are nil while the event is not queued.
+	next, prev *event
 
 	// shard is the affinity key of the callback: events of different
 	// shards may execute concurrently within one virtual instant.
@@ -60,16 +64,139 @@ type event struct {
 }
 
 // stagedIndex marks an event created during a parallel wave and not
-// yet inserted into the heap; the barrier assigns its seq and inserts
+// yet inserted into the queue; the barrier assigns its seq and inserts
 // it in deterministic order.
 const stagedIndex = -2
 
-// eventHeap is a 4-ary min-heap ordered by (at, seq).  It is
-// monomorphic — no container/heap interface dispatch — because Step
-// and At dominate the engine's CPU profile.  The arity and the
-// internal layout are free to differ from container/heap's binary
-// heap without affecting any trace: (at, seq) keys are unique, so the
-// sequence of popped minimums is the same for every valid heap.
+// chainedIndex marks a queued event that is not a chain head: it sits
+// in its head's instant chain, not in the head heap.
+const chainedIndex = -3
+
+// queued reports whether the event is waiting in the queue, as a chain
+// head or behind one.
+func (ev *event) queued() bool { return ev.index >= 0 || ev.index == chainedIndex }
+
+// eventQueue is the engine's pending-event set, ordered by (at, seq).
+// Most events of a wave share one instant, so the queue is
+// instant-chained: a 4-ary min-heap holds only chain heads, and every
+// later event of the same instant is appended in O(1) to the head's
+// circular chain.  A push finds its head through a small direct-mapped
+// cache of recently pushed heads; on a miss — or when the cached
+// chain's tail has a larger seq, as when a stopped wave pushes its
+// unrun events back — the event simply starts a chain of its own.
+//
+// Any split of an instant into seq-ordered chains pops in exactly
+// (at, seq) order: every chain is sorted, the heap orders heads by
+// (at, seq), and popping the least head is a k-way merge of the
+// chains.  So the cache decides only how many chains an instant gets,
+// never which event runs next, and no trace depends on it.  Nothing is
+// allocated per instant: the chain links live in the pooled events.
+type eventQueue struct {
+	heads eventHeap
+	// n counts every queued event, heads and chained alike.
+	n     int
+	cache [headCacheSize]headRef
+}
+
+// headRef is one head-cache slot.  It keeps the instant beside the
+// pointer so a miss — the common case when instants are sparse — is
+// decided without touching the cached event's memory.  The pointer may
+// be stale (popped, recycled, re-queued); push revalidates it.
+type headRef struct {
+	at Time
+	ev *event
+}
+
+// headCacheSize is the number of instants whose chain heads a push can
+// find without a heap search.  A wave spreads its events over a few
+// instants — now plus the bus latency and a handful of timer periods.
+const headCacheSize = 16
+
+// headSlot returns the cache slot of instant at (Fibonacci hashing, so
+// nearby instants spread over the slots).
+func (q *eventQueue) headSlot(at Time) *headRef {
+	return &q.cache[(uint64(at)*0x9E3779B97F4A7C15)>>60]
+}
+
+// len returns the number of queued events.
+func (q *eventQueue) len() int { return q.n }
+
+// peek returns the earliest queued event, or nil.
+func (q *eventQueue) peek() *event {
+	if len(q.heads) == 0 {
+		return nil
+	}
+	return q.heads[0]
+}
+
+// push queues ev, whose seq is already assigned.
+func (q *eventQueue) push(ev *event) {
+	q.n++
+	slot := q.headSlot(ev.at)
+	if h := slot.ev; slot.at == ev.at && h != nil && h.index >= 0 && h.at == ev.at && h.prev.seq < ev.seq {
+		t := h.prev
+		ev.prev, ev.next = t, h
+		t.next, h.prev = ev, ev
+		ev.index = chainedIndex
+		return
+	}
+	ev.next, ev.prev = ev, ev
+	q.heads.push(ev)
+	*slot = headRef{ev.at, ev}
+}
+
+// pop removes and returns the earliest queued event.
+func (q *eventQueue) pop() *event {
+	h := q.heads[0]
+	q.n--
+	if h.next != h {
+		q.promote(h)
+	} else {
+		q.heads.popMin()
+	}
+	h.index = -1
+	h.next, h.prev = nil, nil
+	return h
+}
+
+// remove deletes a queued event: a chained event unlinks in O(1), a
+// head hands its heap slot to its successor, and only a lone head
+// leaves the heap.
+func (q *eventQueue) remove(ev *event) {
+	q.n--
+	switch {
+	case ev.index == chainedIndex:
+		ev.prev.next, ev.next.prev = ev.next, ev.prev
+	case ev.next != ev:
+		q.promote(ev)
+	default:
+		q.heads.remove(ev.index)
+	}
+	ev.index = -1
+	ev.next, ev.prev = nil, nil
+}
+
+// promote unlinks chain head h and seats its successor in h's heap
+// slot.  The successor's key is larger than h's (same instant, later
+// seq), so it can only sift down.
+func (q *eventQueue) promote(h *event) {
+	s, t := h.next, h.prev
+	s.prev, t.next = t, s
+	i := h.index
+	s.index = i
+	q.heads[i] = s
+	q.heads.down(i, len(q.heads))
+	if slot := q.headSlot(h.at); slot.ev == h {
+		slot.ev = s
+	}
+}
+
+// eventHeap is the 4-ary min-heap of chain heads, ordered by (at,
+// seq).  It is monomorphic — no container/heap interface dispatch —
+// because Step and At dominate the engine's CPU profile.  The arity
+// and the internal layout are free to differ from container/heap's
+// binary heap without affecting any trace: (at, seq) keys are unique,
+// so the sequence of popped minimums is the same for every valid heap.
 type eventHeap []*event
 
 // heapArity is the node width: wider nodes mean fewer levels, so pops
@@ -136,16 +263,43 @@ func (h *eventHeap) push(e *event) {
 	*h = q
 }
 
-// popMin removes and returns the earliest event.
+// popMin removes and returns the earliest event.  The root's
+// replacement is the last leaf, which almost always belongs near the
+// bottom again, so the hole left at the root first sinks along the
+// least children to a leaf — skipping the compare against the
+// replacement at every level — and the replacement then sifts up from
+// there, usually not at all (Floyd's bottom-up deletion).
 func (h *eventHeap) popMin() *event {
 	q := *h
+	e := q[0]
 	n := len(q) - 1
-	q.swap(0, n)
-	q.down(0, n)
-	e := q[n]
+	x := q[n]
 	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n > 0 {
+		i := 0
+		for {
+			first := heapArity*i + 1
+			if first >= n {
+				break
+			}
+			m := first
+			last := min(first+heapArity, n)
+			for c := first + 1; c < last; c++ {
+				if q.less(c, m) {
+					m = c
+				}
+			}
+			q[i] = q[m]
+			q[i].index = i
+			i = m
+		}
+		q[i] = x
+		x.index = i
+		q.up(i)
+	}
 	e.index = -1
-	*h = q[:n]
 	return e
 }
 
@@ -172,7 +326,7 @@ func (h *eventHeap) remove(i int) *event {
 // interleaved events.
 type Engine struct {
 	now    Time
-	events eventHeap
+	events eventQueue
 	seq    uint64
 	rng    *rand.Rand
 	seed   int64
@@ -212,7 +366,8 @@ type Engine struct {
 // events return to the garbage collector: the pool exists to make the
 // steady state allocation-free, not to hold the high-water mark of a
 // burst forever.  The cap accommodates a pool-scale fleet — one
-// in-flight timer per simulated machine — at ~80 bytes per struct.
+// in-flight timer per simulated machine — at 64 bytes per struct
+// (4 MiB when full; TestEventStructSize pins the size).
 const maxFreeEvents = 65536
 
 // New creates an engine whose random source is seeded with seed.
@@ -249,7 +404,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.len() }
 
 // Timer is a handle to a scheduled event; Cancel prevents a pending
 // event from firing.  The handle carries the event's incarnation so
@@ -267,10 +422,10 @@ type Timer struct {
 // from inside a parallel instant — daemon code cancels through its
 // scoped runtime, which routes to cancelFrom with the caller's shard.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.gen != t.ev.gen || t.ev.index < 0 {
+	if t == nil || t.ev == nil || t.gen != t.ev.gen || !t.ev.queued() {
 		return false
 	}
-	t.eng.events.remove(t.ev.index)
+	t.eng.events.remove(t.ev)
 	t.eng.recycle(t.ev)
 	return true
 }
@@ -279,8 +434,8 @@ func (t *Timer) Cancel() bool {
 // shard, safe during a parallel instant.  Outside a wave it is
 // exactly Cancel.  Inside a wave:
 //
-//   - a future event still in the heap is cancel-staged; the barrier
-//     removes it in deterministic order (heap state is frozen during
+//   - a future event still in the queue is cancel-staged; the barrier
+//     removes it in deterministic order (queue state is frozen during
 //     the wave);
 //   - an event scheduled earlier in this wave and not yet inserted is
 //     cancel-staged the same way — the barrier still consumes its seq
@@ -301,7 +456,7 @@ func (t *Timer) cancelFrom(shard int32) bool {
 	}
 	ev := t.ev
 	switch {
-	case ev.index >= 0, ev.index == stagedIndex:
+	case ev.queued(), ev.index == stagedIndex:
 		if ev.cancelStaged {
 			return false
 		}
@@ -406,14 +561,14 @@ func (e *Engine) Every(period time.Duration, fn func()) (stop func()) {
 
 // Step executes the next pending event, advancing the clock to its
 // time.  It reports whether an event was executed.  Cancelled events
-// are removed from the heap eagerly, so every pop is a live event;
+// are removed from the queue eagerly, so every pop is a live event;
 // the struct is recycled before the callback runs, letting callbacks
 // that schedule reuse it immediately.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.events.len() == 0 {
 		return false
 	}
-	ev := e.events.popMin()
+	ev := e.events.pop()
 	e.now = ev.at
 	fn := ev.fn
 	e.recycle(ev)
@@ -442,14 +597,8 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.stopped.Store(false)
 	for !e.stopped.Load() {
-		if len(e.events) == 0 {
-			break
-		}
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > deadline {
+		next := e.events.peek()
+		if next == nil || next.at > deadline {
 			break
 		}
 		e.Step()
@@ -465,12 +614,5 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 // Stop halts Run/RunUntil after the current event completes.  During
 // a parallel instant the stop takes effect at the next shard barrier:
 // the running segment completes, its effects are merged, and the
-// remaining same-instant events return to the heap unrun.
+// remaining same-instant events return to the queue unrun.
 func (e *Engine) Stop() { e.stopped.Store(true) }
-
-func (e *Engine) peek() *event {
-	if len(e.events) == 0 {
-		return nil
-	}
-	return e.events[0]
-}

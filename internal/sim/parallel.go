@@ -14,14 +14,14 @@ package sim
 // the effects through the ordinary serial code paths.  Because the
 // serial engine executes same-instant events in seq order and applies
 // each event's effects inline, replaying staged effects in stamp
-// order performs the identical sequence of heap pushes, seq
+// order performs the identical sequence of queue pushes, seq
 // assignments, fault-model consultations, and trace emissions — so
 // the parallel engine's traces, dispositions, and journals are byte
 // for byte the serial engine's.
 //
 // Same-instant events created during a wave (schedules at Now()) form
 // the next wave of the same instant, which again matches the serial
-// heap: their seqs are larger than every event of the current wave.
+// queue: their seqs are larger than every event of the current wave.
 //
 // Shard keys derive from actor-name structure: "kind:owner:seq"
 // belongs to owner's shard, so a shadow shares its schedd's shard and
@@ -288,15 +288,12 @@ func (e *Engine) afterScoped(shard int32, d Time, fn func()) Timer {
 func (e *Engine) runParallel(deadline Time, clamp bool) {
 	e.stopped.Store(false)
 	for !e.stopped.Load() {
-		if len(e.events) == 0 {
+		next := e.events.peek()
+		if next == nil || next.at > deadline {
 			break
 		}
-		t := e.events[0].at
-		if t > deadline {
-			break
-		}
-		e.now = t
-		e.runInstant(t)
+		e.now = next.at
+		e.runInstant(next.at)
 	}
 	if clamp && e.now < deadline {
 		e.now = deadline
@@ -304,13 +301,13 @@ func (e *Engine) runParallel(deadline Time, clamp bool) {
 }
 
 // runInstant executes every event of instant t, wave by wave: each
-// wave is the set of events at t currently in the heap, split into
+// wave is the set of events at t currently in the queue, split into
 // parallel segments at exclusive (global-shard) events.
 func (e *Engine) runInstant(t Time) {
 	for !e.stopped.Load() {
 		wave := e.waveBuf[:0]
-		for len(e.events) > 0 && e.events[0].at == t {
-			wave = append(wave, e.events.popMin())
+		for next := e.events.peek(); next != nil && next.at == t; next = e.events.peek() {
+			wave = append(wave, e.events.pop())
 		}
 		e.waveBuf = wave[:0]
 		if len(wave) == 0 {
@@ -347,9 +344,13 @@ func (e *Engine) runInstant(t Time) {
 	}
 }
 
-// pushBack returns unrun wave events to the heap after a Stop.
+// pushBack returns unrun wave events to the queue after a Stop.
 // Events already skip-marked were cancelled and are recycled, as the
-// serial engine would have removed them from the heap.
+// serial engine would have removed them from the queue.  The events
+// keep their seqs, which may be older than events the wave has since
+// queued at the same instant; push then starts a fresh chain instead
+// of appending out of order, so the resumed run keeps (at, seq)
+// order.
 func (e *Engine) pushBack(evs []*event) {
 	for _, ev := range evs {
 		if ev.skip {
@@ -526,8 +527,8 @@ func (e *Engine) applyEffect(fx *effect) {
 		e.events.push(ev)
 	case fxCancel:
 		ev := fx.ev
-		if fx.gen == ev.gen && ev.index >= 0 {
-			e.events.remove(ev.index)
+		if fx.gen == ev.gen && ev.queued() {
+			e.events.remove(ev)
 			e.recycle(ev)
 		}
 	case fxSend:
