@@ -12,11 +12,12 @@ import (
 // not usable; call NewAd.
 //
 // An Ad is not safe for concurrent mutation; daemons own their ads
-// and exchange copies.  The match fast path (Requirements/Rank
-// compilation, the constant-attribute table) is cached lazily on
-// first use and invalidated by any Set or Delete; call Precompile to
-// build the caches eagerly, which also makes subsequent concurrent
-// read-only evaluation safe.
+// and exchange copies.  The match fast path (compiled Requirements and
+// Rank) is cached lazily on first use and revalidated after any Set
+// or Delete: a cache whose source expression is still the bound one
+// is kept, anything else recompiles.  Call Precompile to build the
+// caches eagerly, which also makes subsequent concurrent read-only
+// evaluation safe.
 type Ad struct {
 	names []string // insertion order, original spelling
 	lower []string // parallel to names, lower-cased
@@ -35,8 +36,6 @@ type Ad struct {
 	req     *Compiled // compiled Requirements; nil = attribute absent
 	rankVer uint64
 	rank    *Compiled // compiled Rank; nil = attribute absent
-	tblVer  uint64
-	tbl     *AttrTable
 	strVer  uint64
 	str     string // memoized String rendering
 }
@@ -197,8 +196,6 @@ func (a *Ad) Copy() *Ad {
 		req:     a.req,
 		rankVer: a.rankVer,
 		rank:    a.rank,
-		tblVer:  a.tblVer,
-		tbl:     a.tbl,
 		strVer:  a.strVer,
 		str:     a.str,
 	}
@@ -245,13 +242,14 @@ func (a *Ad) EvalString(src string, target *Ad) (Value, error) {
 }
 
 // Precompile eagerly builds the match fast-path caches: the compiled
-// Requirements and Rank handles and the constant-attribute table.
-// After Precompile, Match/Rank/BestMatch over the ad are read-only
-// and safe for concurrent use until the next mutation.
+// Requirements and Rank handles and the String rendering.  The
+// pre-filter and the matchmaker's index read the ad's own attribute
+// slices, so there is no per-ad table to build.  After Precompile,
+// Match/Rank/BestMatch over the ad are read-only and safe for
+// concurrent use until the next mutation.
 func (a *Ad) Precompile() {
 	a.requirementsCompiled()
 	a.rankCompiled()
-	a.Table()
 	_ = a.String()
 }
 
@@ -263,11 +261,7 @@ func (a *Ad) requirementsCompiled() (*Compiled, bool) {
 		return nil, false
 	}
 	if a.reqVer != a.version+1 {
-		if e, ok := a.lookupLower(attrRequirementsLower); ok {
-			a.req = Compile(e)
-		} else {
-			a.req = nil
-		}
+		a.req = a.recompile(attrRequirementsLower, a.req)
 		a.reqVer = a.version + 1
 	}
 	return a.req, a.req != nil
@@ -279,14 +273,26 @@ func (a *Ad) rankCompiled() (*Compiled, bool) {
 		return nil, false
 	}
 	if a.rankVer != a.version+1 {
-		if e, ok := a.lookupLower(attrRankLower); ok {
-			a.rank = Compile(e)
-		} else {
-			a.rank = nil
-		}
+		a.rank = a.recompile(attrRankLower, a.rank)
 		a.rankVer = a.version + 1
 	}
 	return a.rank, a.rank != nil
+}
+
+// recompile revalidates a stale compiled cache for the attribute: prev
+// is kept while its source expression is still the bound one — a
+// Compiled depends only on its Expr, because attribute references
+// resolve at evaluation time — so a mutation of some other attribute
+// costs no compilation.  nil means the attribute is absent.
+func (a *Ad) recompile(lower string, prev *Compiled) *Compiled {
+	e, ok := a.lookupLower(lower)
+	switch {
+	case !ok:
+		return nil
+	case prev != nil && prev.src == e:
+		return prev
+	}
+	return Compile(e)
 }
 
 // String renders the ad in bracketed ClassAd syntax.  The rendering

@@ -83,8 +83,10 @@ var binaryOpText = map[tokenKind]string{
 	tokAnd: "&&", tokOr: "||",
 }
 
+// String concatenates rather than formatting: Requirements and Rank
+// are binary trees, and an ad renders them on every String.
 func (e *binaryExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.l, binaryOpText[e.op], e.r)
+	return "(" + e.l.String() + " " + binaryOpText[e.op] + " " + e.r.String() + ")"
 }
 
 // condExpr is the ternary conditional.

@@ -29,7 +29,8 @@ type Compiled struct {
 
 // Compile lowers a parsed expression.  Constant subtrees are folded
 // at compile time; attribute references carry interned lower-case
-// names resolved through the per-ad lookup table.
+// names resolved against the ad at evaluation time, so one Compiled
+// serves every ad binding the same Expr.
 func Compile(e Expr) *Compiled {
 	return &Compiled{src: e, fn: compileNode(e), pre: extractConstraints(e)}
 }
@@ -356,6 +357,9 @@ func ValueIndexKey(v Value) (string, bool) {
 		return "b:false", true
 	case IntegerType, RealType:
 		f, _ := v.RealValue()
+		if f == 0 {
+			f = 0 // -0.0 == 0, so both zeros share one key
+		}
 		return "n:" + strconv.FormatFloat(f, 'g', -1, 64), true
 	case StringType:
 		s, _ := v.StringValue()
@@ -364,8 +368,9 @@ func ValueIndexKey(v Value) (string, bool) {
 	return "", false
 }
 
-// Admits reports whether the target snapshot could satisfy the
-// constraint.
+// Admits reports whether the target ad could satisfy the constraint.
+// It reads the ad's own binding for the attribute, so it takes no
+// snapshot and allocates nothing.
 //
 // Soundness: Admits returns false only when the conjunct it came from
 // cannot evaluate to true against this target — the attribute is
@@ -375,14 +380,19 @@ func ValueIndexKey(v Value) (string, bool) {
 // RequirementsMet would reject the pair too.  A defined but
 // non-constant attribute always admits: the pre-filter never guesses
 // at dynamic expressions.
-func (c Constraint) Admits(t *AttrTable) bool {
+func (c Constraint) Admits(t *Ad) bool {
 	if t == nil {
 		return true
 	}
-	v, isConst := t.Consts[c.Attr]
-	if !isConst {
-		return t.Dynamic[c.Attr]
+	i, ok := t.pos(c.Attr)
+	if !ok {
+		return false // absent: the conjunct is UNDEFINED
 	}
+	lit, isConst := t.exprs[i].(*literalExpr)
+	if !isConst {
+		return true
+	}
+	v := lit.v
 	if c.IsTrue {
 		b, ok := v.BoolValue()
 		return ok && b
@@ -395,9 +405,8 @@ func (c Constraint) Admits(t *AttrTable) bool {
 	return ok && b
 }
 
-// AdmitsAll reports whether every constraint admits the target
-// snapshot.
-func AdmitsAll(pre []Constraint, t *AttrTable) bool {
+// AdmitsAll reports whether every constraint admits the target ad.
+func AdmitsAll(pre []Constraint, t *Ad) bool {
 	for _, c := range pre {
 		if !c.Admits(t) {
 			return false
@@ -464,41 +473,25 @@ func flipCompare(op tokenKind) tokenKind {
 	return op // == and != are symmetric
 }
 
-// --- per-ad attribute table ---
+// --- attribute walk ---
 
-// AttrTable is an ad's indexable snapshot: the literal attribute
-// values plus the set of defined-but-dynamic attribute names, all
-// keyed by lower-cased name.  The matchmaker indexes machines by the
-// constant entries.
-type AttrTable struct {
-	Consts  map[string]Value
-	Dynamic map[string]bool
-}
-
-// Table returns the memoized attribute snapshot of the ad, rebuilt
-// lazily after mutations.  A nil ad has a nil table, which every
-// constraint admits.
-func (a *Ad) Table() *AttrTable {
+// EachAttr calls fn for every attribute of the ad, in insertion order,
+// with its lower-cased name.  A literal binding passes its value and
+// constant=true; any other binding is dynamic and passes the zero
+// Value with constant=false.  The matchmaker indexes machine ads by
+// walking them, so an advertised ad must stay immutable: the walk that
+// unindexes it has to see what the walk that indexed it saw.
+func (a *Ad) EachAttr(fn func(lower string, v Value, constant bool)) {
 	if a == nil {
-		return nil
-	}
-	if a.tblVer == a.version+1 {
-		return a.tbl
-	}
-	t := &AttrTable{
-		Consts:  make(map[string]Value, len(a.exprs)),
-		Dynamic: make(map[string]bool),
+		return
 	}
 	for i, lower := range a.lower {
 		if lit, ok := a.exprs[i].(*literalExpr); ok {
-			t.Consts[lower] = lit.v
+			fn(lower, lit.v, true)
 		} else {
-			t.Dynamic[lower] = true
+			fn(lower, Value{}, false)
 		}
 	}
-	a.tbl = t
-	a.tblVer = a.version + 1
-	return t
 }
 
 // applyUnary applies ! or unary minus, shared by the AST and compiled

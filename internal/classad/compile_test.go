@@ -2,6 +2,7 @@ package classad
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -71,7 +72,7 @@ func TestPrefilterSoundness(t *testing.T) {
 		pre := RequirementsPrefilter(job)
 		for mi, msrc := range compatMachines {
 			machine := jobAd(t, msrc)
-			if !AdmitsAll(pre, machine.Table()) && Match(job, machine) {
+			if !AdmitsAll(pre, machine) && Match(job, machine) {
 				t.Errorf("job %d vs machine %d: pre-filter rejected a matching pair", ji, mi)
 			}
 		}
@@ -134,7 +135,7 @@ func TestConstraintAdmits(t *testing.T) {
 		{"dynamic binding", dynamic, true},
 		{"missing attribute", missing, false},
 	} {
-		if got := AdmitsAll(pre, tc.ad.Table()); got != tc.want {
+		if got := AdmitsAll(pre, tc.ad); got != tc.want {
 			t.Errorf("%s: AdmitsAll=%v want %v", tc.name, got, tc.want)
 		}
 	}
@@ -163,6 +164,9 @@ func TestValueIndexKey(t *testing.T) {
 	}
 	if ik(Str("true")) == ik(Bool(true)) {
 		t.Error("string and boolean keys must not collide")
+	}
+	if ik(Real(math.Copysign(0, -1))) != ik(Int(0)) {
+		t.Error("-0.0 and 0 must share an index key (-0.0 == 0)")
 	}
 	for _, v := range []Value{Undefined(), ErrorValue(), List(Int(1))} {
 		if _, ok := ValueIndexKey(v); ok {
@@ -196,9 +200,9 @@ func TestBestMatchNOrdering(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidation verifies that the compiled-Requirements and
-// attribute-table caches follow the ad's mutations: Set and Delete
-// must be visible to the next Match and the next Table.
+// TestMemoInvalidation verifies that the compiled-Requirements cache
+// and the attribute walk follow the ad's mutations: Set and Delete
+// must be visible to the next Match and the next EachAttr.
 func TestMemoInvalidation(t *testing.T) {
 	job := jobAd(t, `[ Requirements = target.Memory >= 64 ]`)
 	machine := jobAd(t, `[ Memory = 128 ]`)
@@ -214,15 +218,69 @@ func TestMemoInvalidation(t *testing.T) {
 		t.Error("deleted Requirements should accept everything")
 	}
 
-	if _, ok := machine.Table().Consts["memory"]; !ok {
-		t.Fatal("Memory should be a constant binding")
+	// binding reports how EachAttr presents memory: "const", "dynamic",
+	// or "" when the walk never visits it.
+	binding := func() string {
+		got := ""
+		machine.EachAttr(func(lower string, _ Value, constant bool) {
+			if lower != "memory" {
+				return
+			}
+			got = "dynamic"
+			if constant {
+				got = "const"
+			}
+		})
+		return got
+	}
+	if got := binding(); got != "const" {
+		t.Fatalf("Memory walks as %q, want a constant binding", got)
 	}
 	machine.MustSetExpr("Memory", "Base + 1")
-	if _, ok := machine.Table().Consts["memory"]; ok {
-		t.Error("Memory became dynamic but Table still lists it constant")
+	if got := binding(); got != "dynamic" {
+		t.Errorf("Memory walks as %q after the rewrite, want dynamic", got)
 	}
-	if !machine.Table().Dynamic["memory"] {
-		t.Error("Memory should be listed dynamic after the rewrite")
+	machine.Delete("Memory")
+	if got := binding(); got != "" {
+		t.Errorf("Memory walks as %q after Delete, want absent", got)
+	}
+}
+
+// TestEachAttrOrderAndValues checks that the walk visits every binding
+// once, in insertion order, with lower-cased names and literal values.
+func TestEachAttrOrderAndValues(t *testing.T) {
+	ad := jobAd(t, `[ Memory = 128; OpSys = "LINUX"; HasJava = Memory > 0 ]`)
+	var got []string
+	ad.EachAttr(func(lower string, v Value, constant bool) {
+		got = append(got, fmt.Sprintf("%s=%s/%v", lower, v, constant))
+	})
+	want := `[memory=128/true opsys="LINUX"/true hasjava=undefined/false]`
+	if fmt.Sprint(got) != want {
+		t.Errorf("EachAttr walked %v, want %s", got, want)
+	}
+	var nilAd *Ad
+	nilAd.EachAttr(func(string, Value, bool) { t.Error("nil ad walked an attribute") })
+}
+
+// TestCompiledCacheRevalidation checks that a mutation recompiles only
+// the cache whose bound expression changed: a Set of an unrelated
+// attribute keeps the compiled Requirements, a Set of Requirements to
+// a new expression replaces it, and a Copy shares it.
+func TestCompiledCacheRevalidation(t *testing.T) {
+	ad := jobAd(t, `[ Owner = "alice"; Requirements = target.Memory >= 64 ]`)
+	before, _ := ad.requirementsCompiled()
+	ad.SetString("Owner", "bob")
+	if after, _ := ad.requirementsCompiled(); after != before {
+		t.Error("Set of Owner recompiled Requirements")
+	}
+	cp := ad.Copy()
+	cp.SetString("Owner", "carol")
+	if shared, _ := cp.requirementsCompiled(); shared != before {
+		t.Error("a Copy recompiled the Requirements it shares")
+	}
+	ad.MustSetExpr("Requirements", "target.Memory >= 64")
+	if after, _ := ad.requirementsCompiled(); after == before {
+		t.Error("Set of Requirements to a new expression kept the stale compilation")
 	}
 }
 

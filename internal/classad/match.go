@@ -85,8 +85,10 @@ func RankSlow(a, b *Ad) float64 {
 
 // RequirementsPrefilter returns the constant conjuncts of the ad's
 // Requirements, or nil when there are none.  Callers may test a
-// candidate's Table against them to skip full evaluation of pairs the
-// full Match would reject anyway.
+// candidate ad against them (AdmitsAll) to skip full evaluation of
+// pairs the full Match would reject anyway.  The slice belongs to the
+// compiled Requirements, which ads binding the same Expr share; it
+// must not be modified.
 func RequirementsPrefilter(a *Ad) []Constraint {
 	c, ok := a.requirementsCompiled()
 	if !ok {
@@ -107,7 +109,7 @@ func BestMatch(ad *Ad, cands []*Ad) int {
 		if c == nil {
 			continue
 		}
-		if len(pre) > 0 && !AdmitsAll(pre, c.Table()) {
+		if len(pre) > 0 && !AdmitsAll(pre, c) {
 			continue
 		}
 		if !Match(ad, c) {
@@ -139,7 +141,7 @@ func BestMatchN(ad *Ad, cands []*Ad, n int) []int {
 		if c == nil {
 			continue
 		}
-		if len(pre) > 0 && !AdmitsAll(pre, c.Table()) {
+		if len(pre) > 0 && !AdmitsAll(pre, c) {
 			continue
 		}
 		if !Match(ad, c) {

@@ -175,41 +175,57 @@ var (
 	memoryRank            = classad.MustParseExpr("target.Memory")
 )
 
+// Each constructor copies a precompiled prototype of its universe's
+// ad, so every job ad shares the prototype's compiled Requirements and
+// Rank instead of compiling its own at submit: overwriting Owner and
+// ImageSize leaves both expressions bound, which keeps the shared
+// compilations valid.  The prototypes are never mutated, so copying
+// them is safe from any shard.
+var (
+	javaJobProto     = jobAdPrototype("java", javaJobRequirements)
+	standardJobProto = jobAdPrototype("standard", memoryJobRequirements)
+	vanillaJobProto  = jobAdPrototype("vanilla", memoryJobRequirements)
+)
+
+// jobAdPrototype builds a universe's template ad, with placeholder
+// Owner and ImageSize bindings that fix the attribute order.
+func jobAdPrototype(universe string, requirements classad.Expr) *classad.Ad {
+	ad := classad.NewAd()
+	ad.SetString("Universe", universe)
+	ad.SetString("Owner", "")
+	ad.SetInt("ImageSize", 0)
+	ad.Set("Requirements", requirements)
+	ad.Set("Rank", memoryRank)
+	ad.Precompile()
+	return ad
+}
+
+// newJobAd copies a prototype and binds the job's owner and image size
+// in place.
+func newJobAd(proto *classad.Ad, owner string, imageSizeMB int64) *classad.Ad {
+	ad := proto.Copy()
+	ad.SetString("Owner", owner)
+	ad.SetInt("ImageSize", imageSizeMB)
+	return ad
+}
+
 // NewJavaJobAd builds the typical ad a Java Universe job submits:
 // image size, owner, and requirements that the target machine
 // advertise a working Java.
 func NewJavaJobAd(owner string, imageSizeMB int64) *classad.Ad {
-	ad := classad.NewAd()
-	ad.SetString("Universe", "java")
-	ad.SetString("Owner", owner)
-	ad.SetInt("ImageSize", imageSizeMB)
-	ad.Set("Requirements", javaJobRequirements)
-	ad.Set("Rank", memoryRank)
-	return ad
+	return newJobAd(javaJobProto, owner, imageSizeMB)
 }
 
 // NewStandardJobAd builds the ad of a Standard Universe job: a
 // re-linked binary with transparent checkpointing; like vanilla it
 // needs no Java.
 func NewStandardJobAd(owner string, imageSizeMB int64) *classad.Ad {
-	ad := classad.NewAd()
-	ad.SetString("Universe", "standard")
-	ad.SetString("Owner", owner)
-	ad.SetInt("ImageSize", imageSizeMB)
-	ad.Set("Requirements", memoryJobRequirements)
-	ad.Set("Rank", memoryRank)
-	return ad
+	return newJobAd(standardJobProto, owner, imageSizeMB)
 }
 
 // NewVanillaJobAd builds the ad of a Vanilla Universe job: a normal
 // binary with no Java requirement — it happily runs on machines whose
 // Java installation is broken.
 func NewVanillaJobAd(owner string, imageSizeMB int64) *classad.Ad {
-	ad := classad.NewAd()
-	ad.SetString("Universe", "vanilla")
-	ad.SetString("Owner", owner)
-	ad.SetInt("ImageSize", imageSizeMB)
-	ad.Set("Requirements", memoryJobRequirements)
-	ad.Set("Rank", memoryRank)
-	return ad
+	return newJobAd(vanillaJobProto, owner, imageSizeMB)
 }

@@ -93,11 +93,13 @@ type Matchmaker struct {
 }
 
 type machineEntry struct {
-	name    string
+	name string
+	// ad is the advertised ad, which the index entries were built
+	// from; ads are immutable once advertised, so it also tells the
+	// index what to remove.
 	ad      *classad.Ad
-	table   *classad.AttrTable // snapshot backing the index entries
-	matched bool               // provisionally handed out this cycle
-	expires sim.Time           // ad lifetime; a silent machine vanishes
+	matched bool     // provisionally handed out this cycle
+	expires sim.Time // ad lifetime; a silent machine vanishes
 	// claimed marks a machine advertising in the Claimed state —
 	// visible only under preemption, and only to jobs whose Rank
 	// strictly beats curRank, the incumbent's Rank the startd put in
@@ -286,14 +288,12 @@ func (m *Matchmaker) upsertMachine(name string, ad *classad.Ad, expires sim.Time
 		ad.Precompile()
 		m.index.remove(entry)
 		entry.ad = ad
-		entry.table = ad.Table()
 		entry.claimed, entry.curRank = machineClaimState(ad)
 		m.index.add(entry)
 		return
 	}
 	ad.Precompile()
-	table := ad.Table()
-	entry := &machineEntry{name: name, ad: ad, table: table, expires: expires}
+	entry := &machineEntry{name: name, ad: ad, expires: expires}
 	entry.claimed, entry.curRank = machineClaimState(ad)
 	m.machines[name] = entry
 	pos, _ := slices.BinarySearch(m.machineNames, name)
@@ -359,7 +359,7 @@ func compareJobEntries(a, b *jobEntry) int {
 
 // upsertJob installs or refreshes a job request in its owner bucket.
 // Jobs are always the self side of a match, so only their compiled
-// Requirements and pre-filter are needed — no attribute table.
+// Requirements and pre-filter are needed; jobs are never indexed.
 func (m *Matchmaker) upsertJob(key jobKey, ad *classad.Ad, foreign bool) {
 	expires := m.bus.Now().Add(m.jobAdLifetime())
 	if old, ok := m.jobs[key]; ok {
@@ -672,14 +672,14 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 		if entry.matched {
 			// Handed out before this scan: invisible to findBest, but
 			// anyCompatible must still count it.
-			if !c.compatible && classad.AdmitsAll(j.pre, entry.table) &&
+			if !c.compatible && classad.AdmitsAll(j.pre, entry.ad) &&
 				classad.Match(j.ad, entry.ad) &&
 				m.preemptable(entry, classad.Rank(j.ad, entry.ad)) {
 				c.compatible = true
 			}
 			continue
 		}
-		if !classad.AdmitsAll(j.pre, entry.table) {
+		if !classad.AdmitsAll(j.pre, entry.ad) {
 			m.PrefilterSkips++
 			continue
 		}
@@ -844,15 +844,17 @@ func deleteEntry(list []*machineEntry, e *machineEntry) []*machineEntry {
 	return list
 }
 
-// add indexes the entry's snapshot table.
+// add indexes the entry's ad: each constant binding under its value
+// key, each dynamic binding in the attribute's dynamic list.
 func (x *attrIndex) add(e *machineEntry) {
-	if e.table == nil {
-		return
-	}
-	for attr, v := range e.table.Consts {
+	e.ad.EachAttr(func(attr string, v classad.Value, constant bool) {
+		if !constant {
+			x.dynamic[attr] = insertEntry(x.dynamic[attr], e)
+			return
+		}
 		key, ok := classad.ValueIndexKey(v)
 		if !ok {
-			continue
+			return
 		}
 		vals := x.byValue[attr]
 		if vals == nil {
@@ -860,26 +862,27 @@ func (x *attrIndex) add(e *machineEntry) {
 			x.byValue[attr] = vals
 		}
 		vals[key] = insertEntry(vals[key], e)
-	}
-	for attr := range e.table.Dynamic {
-		x.dynamic[attr] = insertEntry(x.dynamic[attr], e)
-	}
+	})
 }
 
-// remove unindexes the entry using the same snapshot it was added
-// with.
+// remove unindexes the entry by walking the same ad it was added with.
 func (x *attrIndex) remove(e *machineEntry) {
-	if e.table == nil {
-		return
-	}
-	for attr, v := range e.table.Consts {
+	e.ad.EachAttr(func(attr string, v classad.Value, constant bool) {
+		if !constant {
+			if list := deleteEntry(x.dynamic[attr], e); len(list) > 0 {
+				x.dynamic[attr] = list
+			} else {
+				delete(x.dynamic, attr)
+			}
+			return
+		}
 		key, ok := classad.ValueIndexKey(v)
 		if !ok {
-			continue
+			return
 		}
 		vals := x.byValue[attr]
 		if vals == nil {
-			continue
+			return
 		}
 		if list := deleteEntry(vals[key], e); len(list) > 0 {
 			vals[key] = list
@@ -889,14 +892,7 @@ func (x *attrIndex) remove(e *machineEntry) {
 		if len(vals) == 0 {
 			delete(x.byValue, attr)
 		}
-	}
-	for attr := range e.table.Dynamic {
-		if list := deleteEntry(x.dynamic[attr], e); len(list) > 0 {
-			x.dynamic[attr] = list
-		} else {
-			delete(x.dynamic, attr)
-		}
-	}
+	})
 }
 
 // bucket returns the constant-value bucket and the dynamic list for

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -103,6 +104,28 @@ func TestReadvertiseUpdatesIndex(t *testing.T) {
 	}
 	if m.PendingJobs() != 1 {
 		t.Errorf("PendingJobs=%d want 1", m.PendingJobs())
+	}
+}
+
+// TestNegativeZeroJoinsZeroBucket checks that a machine advertising
+// the constant -0.0 is offered to a job requiring target.Slots == 0:
+// ClassAd == calls the two zeros equal, so the equality index must put
+// them in one bucket.
+func TestNegativeZeroJoinsZeroBucket(t *testing.T) {
+	_, m := directMatchmaker(1, DefaultParams())
+	ad := testMachineAd("m0", 1024, true)
+	ad.SetReal("Slots", math.Copysign(0, -1))
+	m.AdvertiseMachine("m0", ad)
+
+	job := classad.NewAd()
+	job.MustSetExpr("Requirements", "target.Slots == 0")
+	if !classad.Match(job, ad) {
+		t.Fatal("baseline: full evaluation must accept -0.0 == 0")
+	}
+	m.AdvertiseJob("schedd", 1, job)
+	m.Negotiate()
+	if m.MatchesMade != 1 {
+		t.Errorf("MatchesMade=%d want 1: the index hid the -0.0 machine", m.MatchesMade)
 	}
 }
 

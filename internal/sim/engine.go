@@ -354,8 +354,6 @@ type Engine struct {
 	ctxs       []*shardCtx
 	waveBuf    []*event
 	segCtxBuf  []*shardCtx
-	fxBuf      []effect
-	posBuf     []int
 	// segs / segShards count parallel segments and the shard
 	// executions they contained, for parallelism diagnostics.
 	segs      uint64
@@ -589,7 +587,9 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with time ≤ deadline, then sets the clock
-// to the deadline (if it is later than the last event).
+// to the deadline (if it is later than the last event).  A run ended
+// by Stop leaves the clock at the last executed event: events before
+// the deadline may still be queued, and the clock must not pass them.
 func (e *Engine) RunUntil(deadline Time) {
 	if e.workers > 1 {
 		e.runParallel(deadline, true)
@@ -603,7 +603,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.Step()
 	}
-	if e.now < deadline {
+	if !e.stopped.Load() && e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -613,6 +613,6 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Stop halts Run/RunUntil after the current event completes.  During
 // a parallel instant the stop takes effect at the next shard barrier:
-// the running segment completes, its effects are merged, and the
+// the running segment completes, its effects are replayed, and the
 // remaining same-instant events return to the queue unrun.
 func (e *Engine) Stop() { e.stopped.Store(true) }

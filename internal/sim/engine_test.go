@@ -225,3 +225,27 @@ func TestTimeHelpers(t *testing.T) {
 		t.Error("Sub")
 	}
 }
+
+// TestRunUntilStopKeepsClock checks, on both engines, that a RunUntil
+// ended by Stop leaves the clock at the stopping event.  Clamping to
+// the deadline would put the clock past the events still queued, and
+// the next Step would move it backwards.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := New(1)
+		e.SetWorkers(workers)
+		e.At(Time(time.Second), e.Stop)
+		e.At(Time(5*time.Second), func() {})
+		e.RunUntil(Time(10 * time.Second))
+		if e.Now() != Time(time.Second) {
+			t.Errorf("workers=%d: Now()=%v after a stopped RunUntil, want 1s", workers, e.Now())
+		}
+		if !e.Step() || e.Now() != Time(5*time.Second) {
+			t.Errorf("workers=%d: Now()=%v after the next Step, want 5s", workers, e.Now())
+		}
+		e.RunUntil(Time(10 * time.Second))
+		if e.Now() != Time(10*time.Second) {
+			t.Errorf("workers=%d: Now()=%v after an unstopped RunUntil, want the 10s deadline", workers, e.Now())
+		}
+	}
+}

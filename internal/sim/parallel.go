@@ -9,13 +9,13 @@ package sim
 // runs, no shard touches shared engine state: every externally
 // visible effect — a new schedule, a timer cancel, a bus send, a
 // registry change, a trace emission — is appended to the executing
-// shard's staging buffer, stamped with (parent event seq, intra-event
-// index).  The barrier merges all buffers in stamp order and applies
-// the effects through the ordinary serial code paths.  Because the
-// serial engine executes same-instant events in seq order and applies
-// each event's effects inline, replaying staged effects in stamp
-// order performs the identical sequence of queue pushes, seq
-// assignments, fault-model consultations, and trace emissions — so
+// shard's staging buffer, stamped with the seq of the event that
+// staged it.  The barrier walks the segment's events in seq order and
+// applies each event's effects, in staging order, through the
+// ordinary serial code paths.  Because the serial engine executes
+// same-instant events in seq order and applies each event's effects
+// inline, the replay performs the identical sequence of queue pushes,
+// seq assignments, fault-model consultations, and trace emissions — so
 // the parallel engine's traces, dispositions, and journals are byte
 // for byte the serial engine's.
 //
@@ -32,7 +32,6 @@ package sim
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,10 +126,9 @@ const (
 )
 
 // effect is one staged externally visible action, replayed at the
-// barrier in (parent, idx) order.
+// barrier when the walk reaches its parent event.
 type effect struct {
-	parent uint64
-	idx    uint32
+	parent uint64 // seq of the event that staged it
 	kind   effectKind
 
 	ev        *event     // schedule / cancel
@@ -154,8 +152,10 @@ type shardCtx struct {
 	shard   int32
 	events  []*event
 	effects []effect
-	parent  uint64
-	idx     uint32
+	parent  uint64 // seq of the running event, stamped on its effects
+	// replayed is the barrier's cursor into effects: every effect
+	// before it has been applied.
+	replayed int
 	// overlay holds this shard's registry changes during the wave; a
 	// nil Actor is a tombstone.  Registrations for a name and
 	// deliveries to it always run on the same shard (names carry
@@ -170,50 +170,41 @@ type shardCtx struct {
 	active    bool
 }
 
-func (c *shardCtx) stamp() (uint64, uint32) {
-	i := c.idx
-	c.idx++
-	return c.parent, i
+func (c *shardCtx) stage(fx effect) {
+	fx.parent = c.parent
+	c.effects = append(c.effects, fx)
 }
 
 func (c *shardCtx) stageSchedule(ev *event) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxSchedule, ev: ev})
+	c.stage(effect{kind: fxSchedule, ev: ev})
 }
 
 func (c *shardCtx) stageCancel(ev *event, gen uint64) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxCancel, ev: ev, gen: gen})
+	c.stage(effect{kind: fxCancel, ev: ev, gen: gen})
 }
 
 func (c *shardCtx) stageSend(b *Bus, m Message) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxSend, bus: b, msg: m})
+	c.stage(effect{kind: fxSend, bus: b, msg: m})
 }
 
 func (c *shardCtx) stageBusTrace(b *Bus, m Message, delivered bool) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxBusTrace, bus: b, msg: m, delivered: delivered})
+	c.stage(effect{kind: fxBusTrace, bus: b, msg: m, delivered: delivered})
 }
 
 func (c *shardCtx) stageEmit(tr obs.Tracer, ev obs.Event) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxEmit, tr: tr, obsEv: &ev})
+	c.stage(effect{kind: fxEmit, tr: tr, obsEv: &ev})
 }
 
 func (c *shardCtx) stageCount(tr obs.Tracer, name string, delta int64) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxCount, tr: tr, name: name, delta: delta})
+	c.stage(effect{kind: fxCount, tr: tr, name: name, delta: delta})
 }
 
 func (c *shardCtx) stageObserve(tr obs.Tracer, name string, v int64) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxObserve, tr: tr, name: name, delta: v})
+	c.stage(effect{kind: fxObserve, tr: tr, name: name, delta: v})
 }
 
 func (c *shardCtx) stageRegister(b *Bus, name string, a Actor) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxRegister, bus: b, name: name, actor: a})
+	c.stage(effect{kind: fxRegister, bus: b, name: name, actor: a})
 	if c.overlay == nil {
 		c.overlay = make(map[string]Actor)
 	}
@@ -221,8 +212,7 @@ func (c *shardCtx) stageRegister(b *Bus, name string, a Actor) {
 }
 
 func (c *shardCtx) stageUnregister(b *Bus, name string) {
-	p, i := c.stamp()
-	c.effects = append(c.effects, effect{parent: p, idx: i, kind: fxUnregister, bus: b, name: name})
+	c.stage(effect{kind: fxUnregister, bus: b, name: name})
 	if c.overlay == nil {
 		c.overlay = make(map[string]Actor)
 	}
@@ -269,7 +259,7 @@ func (e *Engine) activeCtxByOwner(name string) *shardCtx {
 
 // afterScoped schedules fn on the shard d from now.  During a wave
 // the schedule is staged: the event struct exists immediately (its
-// Timer is valid) but its seq is assigned at the barrier, in stamp
+// Timer is valid) but its seq is assigned at the barrier, in replay
 // order, exactly where the serial engine would have assigned it.
 func (e *Engine) afterScoped(shard int32, d Time, fn func()) Timer {
 	at := e.now + d
@@ -295,7 +285,7 @@ func (e *Engine) runParallel(deadline Time, clamp bool) {
 		e.now = next.at
 		e.runInstant(next.at)
 	}
-	if clamp && e.now < deadline {
+	if clamp && !e.stopped.Load() && e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -369,7 +359,7 @@ func (e *Engine) SegmentStats() (segments, shards uint64) {
 }
 
 // runSegment executes one parallel segment: group by shard, run the
-// shards concurrently, then merge staged effects at the barrier.
+// shards concurrently, then replay staged effects at the barrier.
 func (e *Engine) runSegment(evs []*event) {
 	segCtxs := e.segCtxBuf[:0]
 	for _, ev := range evs {
@@ -388,7 +378,7 @@ func (e *Engine) runSegment(evs []*event) {
 	// Grain cutoff: dispatching a segment to the pool costs a few
 	// goroutine wakeups, which a handful of events cannot amortize.
 	// Small segments run their shards inline — sequentially, on the
-	// driver — which changes nothing observable: the staging and merge
+	// driver — which changes nothing observable: the staging and replay
 	// discipline, not the worker schedule, is what fixes the effect
 	// order, so the cutoff is pure overhead control.  It is also why
 	// the parallel engine degrades gracefully to near-serial cost on a
@@ -417,71 +407,26 @@ func (e *Engine) runSegment(evs []*event) {
 	}
 	e.waveActive = false
 
-	// Barrier: merge staged effects in (parent, idx) order and apply
-	// them through the serial paths.  One shard's buffer is already in
-	// stamp order — runShard walks its events in seq order and idx
-	// grows within an event — so a single-shard segment applies its
-	// effects directly; a narrow segment k-way merges the sorted
-	// per-shard buffers in place (stamps are unique across shards —
-	// parent is the event seq — so the merge is a total order); and a
-	// wide segment, where the linear merge's effects×shards scan would
-	// blow up, falls back to flatten-and-sort.
-	const mergeWidth = 8
-	switch {
-	case len(segCtxs) == 1:
-		c := segCtxs[0]
-		for i := range c.effects {
-			e.applyEffect(&c.effects[i])
+	// Barrier: replay the staged effects in the serial engine's order.
+	// evs is in seq order, and a shard runs its events in seq order,
+	// appending each event's effects as one contiguous run of its
+	// buffer; so walking evs and draining each event's run from its
+	// shard's buffer is the serial order, with no merge or sort.
+	for _, ev := range evs {
+		c := e.ctxs[ev.shard]
+		for c.replayed < len(c.effects) && c.effects[c.replayed].parent == ev.seq {
+			e.applyEffect(&c.effects[c.replayed])
+			c.replayed++
 		}
-	case len(segCtxs) <= mergeWidth:
-		pos := e.posBuf[:0]
-		for range segCtxs {
-			pos = append(pos, 0)
-		}
-		for {
-			var best *effect
-			bi := -1
-			for ci, c := range segCtxs {
-				p := pos[ci]
-				if p >= len(c.effects) {
-					continue
-				}
-				fx := &c.effects[p]
-				if bi < 0 || fx.parent < best.parent ||
-					(fx.parent == best.parent && fx.idx < best.idx) {
-					best, bi = fx, ci
-				}
-			}
-			if bi < 0 {
-				break
-			}
-			pos[bi]++
-			e.applyEffect(best)
-		}
-		e.posBuf = pos[:0]
-	default:
-		all := e.fxBuf[:0]
-		for _, c := range segCtxs {
-			all = append(all, c.effects...)
-		}
-		slices.SortFunc(all, func(a, b effect) int {
-			if a.parent != b.parent {
-				if a.parent < b.parent {
-					return -1
-				}
-				return 1
-			}
-			return int(a.idx) - int(b.idx)
-		})
-		for i := range all {
-			e.applyEffect(&all[i])
-		}
-		clear(all)
-		e.fxBuf = all[:0]
 	}
 
 	// Bookkeeping, in deterministic segment order.
 	for _, c := range segCtxs {
+		if c.replayed != len(c.effects) {
+			// An effect whose stamp is not its shard's event would be
+			// silently dropped by the walk.
+			panic("sim: staged effect outside its event's run")
+		}
 		e.processed += c.processed
 		c.processed = 0
 		for i, d := range c.freeDel {
@@ -495,6 +440,7 @@ func (e *Engine) runSegment(evs []*event) {
 		c.events = c.events[:0]
 		clear(c.effects)
 		c.effects = c.effects[:0]
+		c.replayed = 0
 		for k := range c.overlay {
 			delete(c.overlay, k)
 		}
@@ -510,7 +456,6 @@ func runShard(c *shardCtx) {
 			continue
 		}
 		c.parent = ev.seq
-		c.idx = 0
 		ev.fn()
 		ev.done = true
 		c.processed++
