@@ -18,11 +18,14 @@ vet:
 ## determinism-grep: the simulated daemons and the engine must never
 ## read the wall clock or the global math/rand state outside tests —
 ## one stray time.Now() is enough to make same-seed traces diverge.
-## (Seeded rand.New(rand.NewSource(...)) instances are fine and do not
-## match the pattern.)
+## The trace recorder (internal/obs) and the record codec the journal
+## and the monitor stream share (internal/record) sit on the same
+## deterministic path.  (Seeded rand.New(rand.NewSource(...))
+## instances are fine and do not match the pattern.)
 determinism-grep:
 	@if grep -rnE 'time\.Now\(|\brand\.(Int|Float|Perm|Shuffle|Seed|Exp|Norm)' \
-		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor; then \
+		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor \
+		internal/obs internal/record; then \
 		echo 'FAIL: wall clock or global math/rand state in a deterministic package'; \
 		exit 1; \
 	fi

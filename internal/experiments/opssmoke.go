@@ -187,7 +187,7 @@ func OpsSmoke(seed int64) (*Report, error) {
 		am := a.p.Metrics()
 		streamed := "-"
 		if a.col != nil {
-			streamed = fmt.Sprint(len(a.col.Events()))
+			streamed = fmt.Sprint(a.col.Recorder().Len())
 		}
 		rep.AddRow(name, fmt.Sprint(jobs), fmt.Sprint(am.Completed),
 			fmt.Sprint(am.Evictions), streamed, verdict)

@@ -163,7 +163,7 @@ func Traces(seed int64) (*Report, map[string]string, error) {
 		}
 		spans := rec.Spans()
 		rep.AddRow(string(c.class), c.site,
-			fmt.Sprint(len(rec.Events())), fmt.Sprint(len(spans)),
+			fmt.Sprint(rec.Len()), fmt.Sprint(len(spans)),
 			spanSummary(spans), det)
 		out[string(c.class)] = jsonl
 		if c.class == faultinject.ClassMissingInstall && jvmRec == nil {
@@ -190,7 +190,7 @@ func Traces(seed int64) (*Report, map[string]string, error) {
 		}
 		spans := rec.Spans()
 		rep.AddRow(string(c.class), c.site,
-			fmt.Sprint(len(rec.Events())), fmt.Sprint(len(spans)),
+			fmt.Sprint(rec.Len()), fmt.Sprint(len(spans)),
 			spanSummary(spans), det)
 		out[string(c.class)] = jsonl
 	}
@@ -215,7 +215,7 @@ func Traces(seed int64) (*Report, map[string]string, error) {
 		}
 		spans := rec.Spans()
 		rep.AddRow(string(c.class), site,
-			fmt.Sprint(len(rec.Events())), fmt.Sprint(len(spans)),
+			fmt.Sprint(rec.Len()), fmt.Sprint(len(spans)),
 			spanSummary(spans), det)
 		out[string(c.class)] = jsonl
 	}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bufio"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -126,10 +127,16 @@ func (c *Client) Subscribe(from int64) error {
 	return nil
 }
 
-// Next reads one streamed record.  A clean server close is io.EOF.
+// Next reads one streamed record.  A clean server close is io.EOF; a
+// record cut short by the close is a network-scope TruncatedFrame in
+// either transport.
 func (c *Client) Next() (byte, string, error) {
 	if c.mode == wire.ModeText {
 		line, err := c.r.ReadString('\n')
+		if err != nil && line != "" {
+			return 0, "", scope.New(scope.ScopeNetwork, wire.CodeTruncatedFrame,
+				"stream line truncated after %d bytes: %v", len(line), err)
+		}
 		if err != nil {
 			return 0, "", err
 		}
@@ -160,13 +167,14 @@ func (c *Client) Next() (byte, string, error) {
 }
 
 // Collect drains the stream into col until the server closes the
-// connection (which reads as success: the subscription simply ended)
-// or a record fails to decode.
+// connection between records (which reads as success: the
+// subscription simply ended), a record arrives cut short, or a record
+// fails to decode.
 func (c *Client) Collect(col *Collector) error {
 	for {
 		cmd, line, err := c.Next()
 		if err != nil {
-			if err == io.EOF || isConnClosed(err) {
+			if isConnClosed(err) {
 				return nil
 			}
 			return err
@@ -178,15 +186,19 @@ func (c *Client) Collect(col *Collector) error {
 }
 
 // isConnClosed recognizes the errors a torn-down subscriber session
-// surfaces as: the server closed the socket under the reader.
+// surfaces as between records: a clean EOF, a scoped ConnectionLost,
+// or the OS's closed-socket errors.  Any other scoped error — above
+// all a TruncatedFrame, a record lost mid-flight — is not a close.
 func isConnClosed(err error) bool {
-	if se, ok := scope.AsError(err); ok && se.Code == CodeConnectionLost {
+	if errors.Is(err, io.EOF) {
 		return true
+	}
+	if se, ok := scope.AsError(err); ok {
+		return se.Code == CodeConnectionLost
 	}
 	msg := err.Error()
 	return strings.Contains(msg, "use of closed network connection") ||
-		strings.Contains(msg, "connection reset by peer") ||
-		strings.Contains(msg, "EOF")
+		strings.Contains(msg, "connection reset by peer")
 }
 
 // Admin issues one verb on this connection and returns the server's

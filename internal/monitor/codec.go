@@ -57,7 +57,13 @@ type Snapshot struct {
 // Every field is present, zero or not: a fixed shape parses strictly.
 func EncodeEvent(ev obs.Event) string {
 	n := len(ev.Comp) + len(ev.Kind) + len(ev.Code) + len(ev.Scope) + len(ev.EKind) + len(ev.Detail)
-	b := append(make([]byte, 0, 128+n), "mev"...)
+	return string(appendEvent(make([]byte, 0, 128+n), ev))
+}
+
+// appendEvent appends EncodeEvent's record to b, so the pump can
+// encode into one reused buffer.
+func appendEvent(b []byte, ev obs.Event) []byte {
+	b = append(b, "mev"...)
 	b = record.AppendInt(b, "t", ev.T)
 	b = record.AppendStr(b, "comp", ev.Comp)
 	b = record.AppendStr(b, "kind", ev.Kind)
@@ -67,7 +73,7 @@ func EncodeEvent(ev obs.Event) string {
 	b = record.AppendStr(b, "ekind", ev.EKind)
 	b = record.AppendStr(b, "detail", ev.Detail)
 	b = record.AppendInt(b, "value", ev.Value)
-	return string(record.Seal(b))
+	return record.Seal(b)
 }
 
 // ParseEvent decodes one streamed event record, strictly.

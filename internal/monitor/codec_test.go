@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/sim"
 )
 
 var sampleEvents = []obs.Event{
@@ -158,4 +160,82 @@ func FuzzParseAdmin(f *testing.F) {
 			}
 		}
 	})
+}
+
+// benchEvent is a typical streamed state event.
+var benchEvent = obs.Event{T: 60e9, Comp: "shadow:schedd:4", Kind: "state", Job: 4,
+	Code: "executing", Detail: "machine big"}
+
+// TestCodecAllocs pins the stream's allocations: ParseEvent makes one
+// (the CRC's byte copy), and streaming one event to one Collector two
+// (the record string and the collector's parse).  With four Collectors
+// the record is still encoded once: one string plus four parses.
+func TestCodecAllocs(t *testing.T) {
+	line := EncodeEvent(benchEvent)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseEvent(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("ParseEvent allocates %v times, want <= 1", n)
+	}
+	for _, subs := range []int{1, 4} {
+		rec := obs.NewRecorder()
+		mon := New(Config{Name: "mon", Clock: sim.New(1), Recorder: rec})
+		for i := 0; i < subs; i++ {
+			if err := mon.Subscribe(NewCollector(), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			rec.Emit(benchEvent)
+			mon.Pump()
+		}); n > float64(1+subs) {
+			t.Errorf("streaming one event to %d collectors allocates %v times, want <= %d", subs, n, 1+subs)
+		}
+		if mon.Delivered() != int64(101*subs) {
+			t.Fatalf("delivered %d records, want %d", mon.Delivered(), 101*subs)
+		}
+	}
+}
+
+// BenchmarkParseEvent is the collector's strict decode of one record.
+func BenchmarkParseEvent(b *testing.B) {
+	line := EncodeEvent(benchEvent)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseEvent(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPump streams a 60k-event log to fresh Collector subscribers
+// in one pump: the encode once, the delivery and the strict parse per
+// subscriber.
+func BenchmarkPump(b *testing.B) {
+	const n = 60_000
+	rec := obs.NewRecorder()
+	for i := 0; i < n; i++ {
+		ev := benchEvent
+		ev.T, ev.Job = int64(i)*1e9, int64(i%1024)
+		rec.Emit(ev)
+	}
+	for _, subs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mon := New(Config{Name: "mon", Clock: sim.New(1), Recorder: rec})
+				for k := 0; k < subs; k++ {
+					if err := mon.Subscribe(NewCollector(), 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				mon.Pump()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
+	}
 }

@@ -120,6 +120,18 @@ func TestIsConnClosed(t *testing.T) {
 	if isConnClosed(errors.New("bad record")) {
 		t.Error("an ordinary error read as a closed connection")
 	}
+	// A frame cut short is a lost record, not a close, whatever its
+	// text says about EOF.
+	for _, err := range []error{
+		scope.New(scope.ScopeNetwork, wire.CodeTruncatedFrame, "frame header truncated: %v", io.ErrUnexpectedEOF),
+		scope.New(scope.ScopeNetwork, wire.CodeTruncatedFrame, "frame body truncated: %v", io.ErrUnexpectedEOF),
+		scope.New(scope.ScopeNetwork, wire.CodeTruncatedFrame, "frame header truncated: read tcp: connection reset by peer"),
+		io.ErrUnexpectedEOF,
+	} {
+		if isConnClosed(err) {
+			t.Errorf("%v read as a closed connection", err)
+		}
+	}
 }
 
 // TestParseRejectsOps extends the strict-parse suite to the control

@@ -53,7 +53,7 @@ type Config struct {
 	Clock Clock
 
 	// Recorder is the pool trace the monitor streams.  The monitor
-	// only ever reads it (EventsFrom is a snapshot copy), so a slow or
+	// only ever reads it (EventLog is a lock-free view), so a slow or
 	// dead subscriber cannot block an emitting daemon.
 	Recorder *obs.Recorder
 
@@ -106,6 +106,12 @@ type Monitor struct {
 	delivered int64
 	dropped   int
 	log       []string
+
+	// Pump scratch, reused across pumps: the encoding buffer and the
+	// records of the log from the lowest cursor on, each encoded once
+	// per pump however many subscribers read it.
+	buf   []byte
+	lines []string
 }
 
 // New attaches a monitor to the pool described by cfg.
@@ -191,9 +197,10 @@ func (m *Monitor) Dropped() int {
 }
 
 // Pump streams the recorder's new events to every subscriber, then
-// one metrics snapshot each.  A sink whose Deliver fails is closed
-// and forgotten — that subscriber's failure is scoped to its own
-// session, and the pump carries on with the rest.  Deliver never
+// one metrics snapshot each.  Every record is encoded once per pump,
+// whatever the number of subscribers.  A sink whose Deliver fails is
+// closed and forgotten — that subscriber's failure is scoped to its
+// own session, and the pump carries on with the rest.  Deliver never
 // blocks on a slow consumer (see Sink), so holding the monitor's lock
 // across delivery cannot stall the pool stepping loop behind it.
 func (m *Monitor) Pump() {
@@ -202,56 +209,69 @@ func (m *Monitor) Pump() {
 	if m.killed || len(m.subs) == 0 {
 		return
 	}
-	// Copy the log once, from the lowest cursor: every subscriber's
-	// unread tail lies within it.
+	// Every subscriber's unread tail lies within the log from the
+	// lowest cursor on.
+	log := m.cfg.Recorder.EventLog()
 	base := m.subs[0].next
 	for _, sub := range m.subs[1:] {
 		base = min(base, sub.next)
 	}
-	tail, total := m.cfg.Recorder.EventsFrom(base)
-	var snap Snapshot
-	haveSnap := false
+	snap := ""
 	if m.cfg.Metrics != nil {
-		snap = m.cfg.Metrics()
-		haveSnap = true
+		snap = EncodeSnapshot(m.cfg.Metrics())
 	}
 	live := m.subs[:0]
 	for _, sub := range m.subs {
-		if !m.stream(sub, tail, base, total, snap, haveSnap) {
+		if !m.stream(sub, log, base, snap) {
 			continue
 		}
 		live = append(live, sub)
 	}
-	// Zero the dropped tail so forgotten subscribers are collectable.
+	// Zero the dropped tail so forgotten subscribers are collectable,
+	// and the encoded records so the scratch holds no stream bytes
+	// between pumps.
 	for i := len(live); i < len(m.subs); i++ {
 		m.subs[i] = nil
 	}
 	m.subs = live
+	clear(m.lines)
+	m.lines = m.lines[:0]
 }
 
-// stream sends one subscriber its backlog and the snapshot; tail holds
-// the log from index base on, of total events.  False means the
-// subscriber is gone and was closed.
-func (m *Monitor) stream(sub *subscriber, tail []obs.Event, base, total int, snap Snapshot, haveSnap bool) bool {
-	if sub.next > total {
-		// A cursor past the log means the subscriber asked to start
-		// in the future; it picks up when the log catches up.
-		return true
-	}
-	for _, ev := range tail[sub.next-base:] {
+// line returns the record of log event base+j, encoding the log from
+// base up to it on first use.  Subscribers read the log in order, so
+// each record is encoded at most once per pump.
+func (m *Monitor) line(log obs.EventLog, base, j int) string {
+	for len(m.lines) <= j {
+		ev := log.At(base + len(m.lines))
 		if m.cfg.Normalize {
 			ev.T = 0
 			ev.Detail = ""
 		}
-		if err := sub.sink.Deliver(cmdEvent, EncodeEvent(ev)); err != nil {
+		m.buf = appendEvent(m.buf[:0], ev)
+		m.lines = append(m.lines, string(m.buf))
+	}
+	return m.lines[j]
+}
+
+// stream sends one subscriber its backlog and the encoded snapshot
+// (none when empty).  False means the subscriber is gone and was
+// closed.
+func (m *Monitor) stream(sub *subscriber, log obs.EventLog, base int, snap string) bool {
+	if sub.next > log.Len() {
+		// A cursor past the log means the subscriber asked to start
+		// in the future; it picks up when the log catches up.
+		return true
+	}
+	for ; sub.next < log.Len(); sub.next++ {
+		if err := sub.sink.Deliver(cmdEvent, m.line(log, base, sub.next-base)); err != nil {
 			m.drop(sub, err)
 			return false
 		}
-		sub.next++
 		m.delivered++
 	}
-	if haveSnap {
-		if err := sub.sink.Deliver(cmdMetrics, EncodeSnapshot(snap)); err != nil {
+	if snap != "" {
+		if err := sub.sink.Deliver(cmdMetrics, snap); err != nil {
 			m.drop(sub, err)
 			return false
 		}

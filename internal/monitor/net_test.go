@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"bufio"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -276,5 +278,94 @@ func TestKillMidStreamOverWire(t *testing.T) {
 	}
 	if m := p.Metrics(); m.Completed != 4 {
 		t.Fatalf("workload did not complete under the kill: %+v", m)
+	}
+}
+
+// cutStreamServer serves one subscriber in mode: it answers the
+// handshake and the subscription, streams one whole event record, then
+// writes only the first cut bytes of a second record and hangs up.
+func cutStreamServer(t *testing.T, mode wire.Mode, whole, next string, cut int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if mode == wire.ModeText {
+			fmt.Fprintf(conn, "challenge %s\n", hex.EncodeToString(make([]byte, 16)))
+			r.ReadString('\n') // the authenticator, accepted unchecked
+			io.WriteString(conn, "ok\n")
+			r.ReadString('\n') // msub
+			io.WriteString(conn, "ok\n"+whole+"\n"+(next + "\n")[:cut])
+			return
+		}
+		sess := wire.NewSession(r, conn, wire.Config{Secret: opsKey})
+		defer sess.Release()
+		if sess.ServerHandshake() != nil {
+			return
+		}
+		if _, _, err := sess.ReadMsg(); err != nil {
+			return
+		}
+		if sess.WriteMsg(wire.CmdOK) != nil || sess.WriteMsg(cmdEvent, []byte(whole)) != nil {
+			return
+		}
+		conn.Write(wire.AppendFrame(nil, cmdEvent, 0, []byte(next))[:cut])
+	}()
+	return ln.Addr().String()
+}
+
+// TestCollectReportsTruncatedRecord pins the difference between a
+// subscription that ended and one that lost a record: a server that
+// hangs up between records ends Collect cleanly, one that hangs up
+// mid-record (mid frame header, mid frame body, mid text line) makes
+// Collect return the network-scope TruncatedFrame.
+func TestCollectReportsTruncatedRecord(t *testing.T) {
+	whole, next := EncodeEvent(sampleEvents[1]), EncodeEvent(sampleEvents[2])
+	for _, tc := range []struct {
+		name string
+		mode wire.Mode
+		cut  int
+		lost bool
+	}{
+		{"binary/clean", wire.ModeBinary, 0, false},
+		{"binary/header", wire.ModeBinary, 3, true},
+		{"binary/body", wire.ModeBinary, 7 + len(next)/2, true},
+		{"text/clean", wire.ModeText, 0, false},
+		{"text/line", wire.ModeText, len(next) / 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := cutStreamServer(t, tc.mode, whole, next, tc.cut)
+			cli, err := Dial(addr, tc.mode, opsKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			if err := cli.Subscribe(0); err != nil {
+				t.Fatal(err)
+			}
+			col := NewCollector()
+			err = cli.Collect(col)
+			if !tc.lost && err != nil {
+				t.Fatalf("a hang-up between records: Collect = %v, want nil", err)
+			}
+			if tc.lost {
+				se, ok := scope.AsError(err)
+				if !ok || se.Code != wire.CodeTruncatedFrame || se.Scope != scope.ScopeNetwork {
+					t.Fatalf("a hang-up mid-record: Collect = %v, want network-scope %s",
+						err, wire.CodeTruncatedFrame)
+				}
+			}
+			if evs := col.Events(); len(evs) != 1 || evs[0] != sampleEvents[1] {
+				t.Fatalf("collected %+v, want only the whole record", evs)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -234,5 +235,135 @@ func TestTimeline(t *testing.T) {
 	}
 	if lines := strings.Count(tl, "\n"); lines != 2 {
 		t.Errorf("timeline lines = %d, want 2:\n%s", lines, tl)
+	}
+}
+
+// TestEventChunkLayout pins the log's layout: chunks tile the index
+// space with no gap or overlap, the small chunks double up to the
+// full-size chunk, and a full-size chunk is a whole number of 8 KiB
+// heap pages, so it carries no allocator slack.
+func TestEventChunkLayout(t *testing.T) {
+	if size := reflect.TypeOf(Event{}).Size() * eventChunk; size%8192 != 0 {
+		t.Errorf("a chunk of %d events is %d bytes, not a whole number of 8 KiB pages", eventChunk, size)
+	}
+	k, off := 0, 0
+	for i := 0; i < 4*eventChunk; i++ {
+		if gk, goff := slot(i); gk != k || goff != off {
+			t.Fatalf("slot(%d) = (%d, %d), want (%d, %d)", i, gk, goff, k, off)
+		}
+		if off++; off == chunkLen(k) {
+			k, off = k+1, 0
+		}
+	}
+	if chunkLen(geoChunks-1) != eventChunk/2 {
+		t.Errorf("the last small chunk holds %d events, want %d", chunkLen(geoChunks-1), eventChunk/2)
+	}
+}
+
+// TestEventsAtChunkBoundaries reads the chunked log from cursors on
+// and around every chunk edge, through each reader.
+func TestEventsAtChunkBoundaries(t *testing.T) {
+	const n = 2*eventChunk + 7
+	r := NewRecorder()
+	if evs := r.Events(); evs == nil || len(evs) != 0 {
+		t.Fatalf("empty Events() = %#v, want a non-nil empty slice", evs)
+	}
+	if tail, total := r.EventsFrom(0); tail != nil || total != 0 {
+		t.Fatalf("empty EventsFrom(0) = %v, %d", tail, total)
+	}
+	for i := 0; i < n; i++ {
+		r.Emit(Event{T: int64(i), Comp: "c"})
+	}
+	if r.Len() != n {
+		t.Fatalf("Len() = %d, want %d", r.Len(), n)
+	}
+	all := r.Events()
+	if len(all) != n {
+		t.Fatalf("Events() holds %d, want %d", len(all), n)
+	}
+	for i, ev := range all {
+		if ev.T != int64(i) {
+			t.Fatalf("Events()[%d].T = %d", i, ev.T)
+		}
+	}
+	cursors := []int{0, n - 1, n, n + 5}
+	for start, k := 0, 0; start < n; start, k = start+chunkLen(k), k+1 {
+		cursors = append(cursors, start-1, start, start+1)
+	}
+	log := r.EventLog()
+	for _, from := range cursors {
+		if from < 0 {
+			continue
+		}
+		tail, total := r.EventsFrom(from)
+		if total != n {
+			t.Fatalf("EventsFrom(%d) total = %d, want %d", from, total, n)
+		}
+		want := max(n-from, 0)
+		if len(tail) != want || (want == 0) != (tail == nil) {
+			t.Fatalf("EventsFrom(%d) = %d events (nil %v), want %d", from, len(tail), tail == nil, want)
+		}
+		for k, ev := range tail {
+			if ev != all[from+k] || log.At(from+k) != ev {
+				t.Fatalf("EventsFrom(%d)[%d] = %+v, want %+v", from, k, ev, all[from+k])
+			}
+		}
+	}
+	// The view is fixed at its length: later emits are not in it.
+	r.Emit(Event{T: n})
+	if log.Len() != n || r.EventLog().Len() != n+1 {
+		t.Fatalf("view len %d after an emit, recorder %d", log.Len(), r.EventLog().Len())
+	}
+	for _, i := range []int{-1, n} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) on a log of %d did not panic", i, n)
+				}
+			}()
+			log.At(i)
+		}()
+	}
+}
+
+// TestEmitConcurrentWithReaders runs emitters against every reader at
+// once; under -race it proves the lock-free EventLog view never reads
+// a slot an Emit writes.
+func TestEmitConcurrentWithReaders(t *testing.T) {
+	const writers, per = 4, eventChunk + 100
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Emit(Event{Comp: "w", Job: int64(i + 1)})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	cursor := 0
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		tail, total := r.EventsFrom(cursor)
+		if len(tail) != max(total-cursor, 0) {
+			t.Fatalf("EventsFrom(%d) = %d events of %d", cursor, len(tail), total)
+		}
+		log := r.EventLog()
+		for i := cursor; i < log.Len(); i++ {
+			if ev := log.At(i); ev.Comp != "w" || ev.Job == 0 {
+				t.Fatalf("event %d read torn: %+v", i, ev)
+			}
+		}
+		cursor = total
+	}
+	if r.Len() != writers*per || len(r.Events()) != writers*per {
+		t.Fatalf("recorded %d, want %d", r.Len(), writers*per)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -14,11 +15,52 @@ import (
 // concurrent use; under the deterministic simulation, emit order is
 // itself deterministic, so a recorded trace is reproducible byte for
 // byte.
+//
+// The event log is a list of chunks, not one growing slice: an Emit
+// writes into the last chunk or allocates a fresh one, and never
+// copies or re-zeroes an event already recorded.  Readers get copies
+// (Events, EventsFrom) or a read-only view (EventLog), so the layout
+// never leaks.
 type Recorder struct {
 	mu       sync.Mutex
-	events   []Event
+	chunks   [][]Event // chunk k holds chunkLen(k) events; all but the last full
+	n        int       // events recorded
 	counters map[string]int64
 	hists    map[string]*Histogram
+}
+
+// The log's chunk sizes.  The first eventChunk events fill chunks of
+// 32, 32, 64, 128, 256 and 512 events, so a short trace (a test, one
+// sweep cell) costs a few KiB; every later chunk holds eventChunk.  At
+// 120 bytes an Event, such a chunk is 120 KiB, a whole number of 8 KiB
+// heap pages, so it carries no allocator slack.
+const (
+	firstChunk = 32
+	geoChunks  = 6 // chunks before the first full-size one
+	eventChunk = 1024
+)
+
+// chunkLen is the number of events chunk k holds.
+func chunkLen(k int) int {
+	switch {
+	case k == 0:
+		return firstChunk
+	case k < geoChunks:
+		return firstChunk << (k - 1)
+	}
+	return eventChunk
+}
+
+// slot locates event i: its chunk and its offset within the chunk.
+func slot(i int) (chunk, off int) {
+	switch {
+	case i < firstChunk:
+		return 0, i
+	case i < eventChunk:
+		k := bits.Len(uint(i / firstChunk))
+		return k, i - firstChunk<<(k-1)
+	}
+	return geoChunks + (i-eventChunk)/eventChunk, (i - eventChunk) % eventChunk
 }
 
 // Histogram is a cheap summary of one observed distribution.
@@ -43,7 +85,12 @@ func (r *Recorder) Enabled() bool { return true }
 // Emit appends the event.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	k, off := slot(r.n)
+	if off == 0 {
+		r.chunks = append(r.chunks, make([]Event, chunkLen(k)))
+	}
+	r.chunks[k][off] = ev
+	r.n++
 	r.mu.Unlock()
 }
 
@@ -73,26 +120,70 @@ func (r *Recorder) Observe(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events in emit order.
-func (r *Recorder) Events() []Event {
+// Len returns the number of events recorded, without copying them.
+func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
+	return r.n
+}
+
+// Events returns a copy of the recorded events in emit order.
+func (r *Recorder) Events() []Event {
+	log := r.EventLog()
+	return log.appendFrom(make([]Event, 0, log.n), 0)
 }
 
 // EventsFrom returns a copy of the events from index i on, and the
 // total number recorded.  A reader that keeps a cursor into the log
 // copies only its unread tail, not the whole history.
 func (r *Recorder) EventsFrom(i int) ([]Event, int) {
+	log := r.EventLog()
+	if i >= log.n {
+		return nil, log.n
+	}
+	return log.appendFrom(make([]Event, 0, log.n-i), i), log.n
+}
+
+// EventLog returns a read-only view of the events recorded so far,
+// without copying them.
+func (r *Recorder) EventLog() EventLog {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.events)
-	if i >= n {
-		return nil, n
+	return EventLog{chunks: r.chunks, n: r.n}
+}
+
+// EventLog is a view of the first Len events of a Recorder.  A
+// recorded event is never moved or rewritten, and an Emit only ever
+// writes past the view's end, so a view is read without the
+// recorder's lock while emitters carry on; it just does not see their
+// later events.
+type EventLog struct {
+	chunks [][]Event
+	n      int
+}
+
+// Len returns the number of events in the view.
+func (l EventLog) Len() int { return l.n }
+
+// appendFrom appends events i..Len-1 to dst, a chunk at a time.
+func (l EventLog) appendFrom(dst []Event, i int) []Event {
+	for i < l.n {
+		k, off := slot(i)
+		chunk := l.chunks[k][off:]
+		chunk = chunk[:min(len(chunk), l.n-i)]
+		dst = append(dst, chunk...)
+		i += len(chunk)
 	}
-	return append([]Event(nil), r.events[i:]...), n
+	return dst
+}
+
+// At returns event i; it panics unless 0 <= i < Len.
+func (l EventLog) At(i int) Event {
+	if i < 0 || i >= l.n {
+		panic(fmt.Sprintf("obs: event %d of a log of %d", i, l.n))
+	}
+	k, off := slot(i)
+	return l.chunks[k][off]
 }
 
 // Counter returns the named counter's value.

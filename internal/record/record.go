@@ -240,18 +240,22 @@ func (r *Reader) Str(key string) string {
 		return ""
 	}
 	rest := r.line[r.pos:]
-	raw, err := strconv.QuotedPrefix(rest)
-	if err == nil && raw[0] != '"' {
-		err = strconv.ErrSyntax // a backquoted or single-quoted literal
-	}
-	if err != nil {
-		r.Fail("field %s: %w", key, err)
-		return ""
-	}
-	v, _ := strconv.Unquote(raw) // QuotedPrefix validated raw
-	if !canonicalQuote(raw, v) {
-		r.Fail("non-canonical %s=%s", key, raw)
-		return ""
+	raw, v := plainQuoted(rest)
+	if raw == "" {
+		var err error
+		raw, err = strconv.QuotedPrefix(rest)
+		if err == nil && raw[0] != '"' {
+			err = strconv.ErrSyntax // a backquoted or single-quoted literal
+		}
+		if err != nil {
+			r.Fail("field %s: %w", key, err)
+			return ""
+		}
+		v, _ = strconv.Unquote(raw) // QuotedPrefix validated raw
+		if !canonicalQuote(raw, v) {
+			r.Fail("non-canonical %s=%s", key, raw)
+			return ""
+		}
 	}
 	r.pos += len(raw)
 	if r.pos < len(r.line) && r.line[r.pos] != ' ' {
@@ -269,12 +273,23 @@ func (r *Reader) Sealed() {
 		return
 	}
 	raw := r.token()
-	if len(raw) != 8 || strings.Trim(raw, "0123456789abcdef") != "" {
+	var want uint32
+	ok := len(raw) == 8
+	for i := 0; ok && i < len(raw); i++ {
+		switch c := raw[i]; {
+		case '0' <= c && c <= '9':
+			want = want<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			want = want<<4 | uint32(c-'a'+10)
+		default:
+			ok = false
+		}
+	}
+	if !ok {
 		r.Fail("crc %q is not 8 lowercase hex digits", raw)
 		return
 	}
-	want, _ := strconv.ParseUint(raw, 16, 32)
-	if got := crc32.ChecksumIEEE([]byte(r.line[:covered])); got != uint32(want) {
+	if got := crc32.ChecksumIEEE([]byte(r.line[:covered])); got != want {
 		r.Fail("crc mismatch: record says %s, bytes say %08x", raw, got)
 	}
 }
@@ -323,6 +338,28 @@ func (r *Reader) token() string {
 	}
 	r.pos += len(rest)
 	return rest
+}
+
+// plainQuoted is Str's one-scan prefix.  When s opens with a "..."
+// literal whose bytes are all printable ASCII (0x20-0x7e) other than
+// a backslash, it returns that literal and the value between its
+// quotes: those are exactly the bytes strconv.Quote writes as
+// themselves, so the literal is canonical as it stands and the value
+// is a substring of s.  Anything else — an escape, a control byte,
+// non-ASCII, no closing quote — returns "" for the strconv path.
+func plainQuoted(s string) (raw, v string) {
+	if s == "" || s[0] != '"' {
+		return "", ""
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"':
+			return s[:i+1], s[1:i]
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", ""
+		}
+	}
+	return "", ""
 }
 
 // canonicalQuote reports whether raw is exactly strconv.Quote(v).
