@@ -1,16 +1,25 @@
 GO ?= go
 
-.PHONY: check vet determinism-grep build test race cover perfbench-test journal-smoke wire-smoke fuzz-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
+.PHONY: check fmt-check vet determinism-grep build test race cover perfbench-test journal-smoke wire-smoke fuzz-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
 
-## check: the full gate — vet, the determinism grep, build, race-test
-## the concurrent packages, the whole suite with per-package coverage
-## (including the golden-trace regression suite and the per-package
-## coverage floors), the write-ahead-journal race smoke, the wire-codec
-## and transport smoke, the bounded record-codec fuzz smoke, the
-## fault-injection smoke matrix, the small-shape pool-throughput smoke,
-## the federation smoke, the machine-churn determinism smoke, the
-## ops-plane smoke, then the benchmark runner's own tests.
-check: vet determinism-grep build race cover journal-smoke wire-smoke fuzz-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke perfbench-test
+## check: the full gate — the gofmt check, vet, the determinism grep,
+## build, race-test the concurrent packages, the whole suite with
+## per-package coverage (including the golden-trace regression suite
+## and the per-package coverage floors), the write-ahead-journal race
+## smoke, the wire-codec and transport smoke, the bounded record-codec
+## fuzz smoke, the fault-injection smoke matrix, the small-shape
+## pool-throughput smoke, the federation smoke, the machine-churn
+## determinism smoke, the ops-plane smoke, then the benchmark runner's
+## own tests.
+check: fmt-check vet determinism-grep build race cover journal-smoke wire-smoke fuzz-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke perfbench-test
+
+## fmt-check: every Go file in the tree, the nested perfbench module
+## included, must be gofmt-clean; the target lists the files that are
+## not.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "FAIL: gofmt needed on:"; echo "$$files"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

@@ -54,18 +54,18 @@ func sampleFinal(pre bool) jobFinalMsg {
 func journalRecordSamples() []recordSample {
 	at := sim.Time(42 * time.Second)
 	s := []recordSample{
-		{"wal-submit", string(recSubmit(sampleJob()))},
-		{"wal-match", string(recMatch(7, at, "m1"))},
-		{"wal-exec", string(recExec(7, at, "m \"1\""))},
-		{"wal-flock", string(recFlock(7, at, 2, "mm-p2"))},
-		{"wal-flock-home", string(recFlock(7, at, 0, ""))},
-		{"wal-ckpt", string(recCkpt(7, at, 30*time.Minute))},
-		{"wal-final", string(recFinal(sampleFinal(false), at))},
-		{"wal-final-pre", string(recFinal(sampleFinal(true), at))},
-		{"wal-claim-timeout", string(recEvent("claim-timeout", 7, at))},
-		{"wal-claim-denied", string(recEvent("claim-denied", 7, at))},
-		{"wal-relax", string(recEvent("relax", 7, at))},
-		{"wal-recover", string(recEvent("recover", 7, at))},
+		{"wal-submit", string(recSubmit(nil, sampleJob()))},
+		{"wal-match", string(recMatch(nil, 7, at, "m1"))},
+		{"wal-exec", string(recExec(nil, 7, at, "m \"1\""))},
+		{"wal-flock", string(recFlock(nil, 7, at, 2, "mm-p2"))},
+		{"wal-flock-home", string(recFlock(nil, 7, at, 0, ""))},
+		{"wal-ckpt", string(recCkpt(nil, 7, at, 30*time.Minute))},
+		{"wal-final", string(recFinal(nil, sampleFinal(false), at))},
+		{"wal-final-pre", string(recFinal(nil, sampleFinal(true), at))},
+		{"wal-claim-timeout", string(recEvent(nil, "claim-timeout", 7, at))},
+		{"wal-claim-denied", string(recEvent(nil, "claim-denied", 7, at))},
+		{"wal-relax", string(recEvent(nil, "relax", 7, at))},
+		{"wal-recover", string(recEvent(nil, "recover", 7, at))},
 	}
 
 	j := sampleJob()
@@ -89,11 +89,18 @@ func journalRecordSamples() []recordSample {
 	}
 	names := []string{"snapshot-schedd", "snapshot-failure", "snapshot-job",
 		"snapshot-attempt", "snapshot-attempt-pre", "snapshot-report"}
-	lines := strings.Split(strings.TrimSuffix(string(sd.snapshot()), "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(snapshotString(sd), "\n"), "\n")
 	for i, line := range lines {
 		s = append(s, recordSample{names[i], line})
 	}
 	return s
+}
+
+// snapshotString is the schedd's snapshot payload as one string.
+func snapshotString(s *Schedd) string {
+	var b strings.Builder
+	s.writeSnapshot(&b)
+	return b.String()
 }
 
 // readRecordTable loads the committed record-byte table: one
@@ -155,7 +162,7 @@ func TestJournalRecordBytes(t *testing.T) {
 	if err := sd.applySnapshot([]byte(snap.String())); err != nil {
 		t.Fatalf("replay of the table's snapshot: %v", err)
 	}
-	if got := string(sd.snapshot()); got != snap.String() {
+	if got := snapshotString(sd); got != snap.String() {
 		t.Errorf("snapshot replay re-encodes as\n%q\nwant\n%q", got, snap.String())
 	}
 }

@@ -86,19 +86,22 @@ type Schedd struct {
 	// appended before it is acted on, so the queue survives a crash
 	// of this process (see scheddjournal.go).
 	wal *journal.Journal
-	// walAppends counts entries since the last compaction.
-	walAppends int
 	// Group commit (fast path): walBuf holds the records of the open
-	// batch, outbox the sends deferred until those records are
-	// durable, and commitArmed whether the commit event is scheduled
-	// for the end of the current instant.
-	walBuf      [][]byte
+	// batch end to end, record i ending at walEnds[i]; outbox holds
+	// the sends deferred until those records are durable, and
+	// commitArmed whether the commit event is scheduled for the end
+	// of the current instant.  The reference arm encodes its one
+	// record at a time into the same buffer.
+	walBuf      []byte
+	walEnds     []int
 	outbox      []pendingSend
 	commitArmed bool
-	// snapBuf is the reused snapshot assembly buffer; reportEnc and
-	// reportEncN cache the encoded prefix of Reports, which is
-	// append-only between recoveries.
-	snapBuf    []byte
+	// lineBuf and failKeys are the snapshot's reused line buffer and
+	// sorted failure-table keys; reportEnc and reportEncN cache the
+	// encoded prefix of Reports, which is append-only between
+	// recoveries.
+	lineBuf    []byte
+	failKeys   []string
 	reportEnc  []byte
 	reportEncN int
 	// crashed marks a schedd that is down; epoch invalidates timers
@@ -179,7 +182,7 @@ func (s *Schedd) Submit(job *Job) JobID {
 	// advertise shares (or copies) this ad, and copies inherit the
 	// caches.
 	job.Ad.Precompile()
-	s.journalAppend(recSubmit(job))
+	s.journalAppend(recSubmit(s.walBuf, job))
 	s.addJob(job)
 	s.logEvent(job, EventSubmitted, "owner %s", job.Owner)
 	s.advertiseJob(job)
@@ -501,7 +504,7 @@ func (s *Schedd) handleCkptCommit(m ckptCommitMsg) {
 	if !ok || j.State != JobRunning || m.CPU <= j.CheckpointCPU {
 		return
 	}
-	s.journalAppend(recCkpt(j.ID, s.bus.Now(), m.CPU))
+	s.journalAppend(recCkpt(s.walBuf, j.ID, s.bus.Now(), m.CPU))
 	j.CheckpointCPU = m.CPU
 	s.logEvent(j, EventCheckpointed, "committed %v", m.CPU)
 }
@@ -552,7 +555,7 @@ func (s *Schedd) handleNoMatch(m noMatchMsg) {
 		s.params.ChronicRelaxAfter > 0 &&
 		s.idleFor(j) >= s.params.ChronicRelaxAfter &&
 		len(s.avoidedMachines()) > 0 {
-		s.journalAppend(recEvent("relax", j.ID, s.bus.Now()))
+		s.journalAppend(recEvent(s.walBuf, "relax", j.ID, s.bus.Now()))
 		j.avoidanceRelaxed = true
 		s.logEvent(j, EventAvoidanceRelaxed,
 			"idle %v with no compatible machine; matching chronic machines again",
@@ -620,7 +623,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 	now := s.bus.Now()
 	switch m.Op {
 	case FlockGrant:
-		s.journalAppend(recFlock(j.ID, now, m.Level, m.Negotiator))
+		s.journalAppend(recFlock(s.walBuf, j.ID, now, m.Level, m.Negotiator))
 		s.withdrawJob(j) // from the negotiator that starved it
 		j.flockedTo = m.Negotiator
 		j.flockLevel = m.Level
@@ -633,7 +636,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 		if j.flockedTo == "" {
 			return // already home; the pacing clock retries later
 		}
-		s.journalAppend(recFlock(j.ID, now, 0, ""))
+		s.journalAppend(recFlock(s.walBuf, j.ID, now, 0, ""))
 		s.withdrawJob(j) // from the peer that no longer serves it
 		j.flockedTo = ""
 		j.flockLevel = 0
@@ -676,7 +679,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recMatch(j.ID, s.bus.Now(), m.Machine))
+	s.journalAppend(recMatch(s.walBuf, j.ID, s.bus.Now(), m.Machine))
 	s.setState(j, JobMatched)
 	j.claimSeq++
 	seq := j.claimSeq
@@ -701,7 +704,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 			// after recovery the queue holds rebuilt Job values, and a
 			// pre-crash closure's pointer no longer speaks for them.
 			if s.epoch == epoch && j.State == JobMatched && j.claimSeq == seq {
-				s.journalAppend(recEvent("claim-timeout", j.ID, s.bus.Now()))
+				s.journalAppend(recEvent(s.walBuf, "claim-timeout", j.ID, s.bus.Now()))
 				s.ClaimsFailed++
 				s.setState(j, JobIdle)
 				s.logEvent(j, EventClaimTimeout, "no reply from %s within %v",
@@ -721,14 +724,14 @@ func (s *Schedd) receiveClaim(from string, r claimReplyMsg) {
 	}
 	j.claimSeq++ // the reply arrived; disarm the claim timeout
 	if !r.Granted {
-		s.journalAppend(recEvent("claim-denied", j.ID, s.bus.Now()))
+		s.journalAppend(recEvent(s.walBuf, "claim-denied", j.ID, s.bus.Now()))
 		s.ClaimsFailed++
 		s.setState(j, JobIdle)
 		s.logEvent(j, EventClaimDenied, "%s: %s", from, r.Reason)
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recExec(j.ID, s.bus.Now(), from))
+	s.journalAppend(recExec(s.walBuf, j.ID, s.bus.Now(), from))
 	s.setState(j, JobRunning)
 	j.avoidanceRelaxed = false // the next idle spell re-arms avoidance
 	s.resetFlock(j)            // every attempt restarts the job at home
@@ -861,7 +864,7 @@ func (s *Schedd) handleFinal(f jobFinalMsg) {
 		return
 	}
 	now := s.bus.Now()
-	s.journalAppend(recFinal(f, now))
+	s.journalAppend(recFinal(s.walBuf, f, now))
 	delete(s.shadows, f.Job) // the shadow retires with its report
 
 	err := finalError(f)

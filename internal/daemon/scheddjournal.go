@@ -24,8 +24,8 @@ package daemon
 
 import (
 	"fmt"
+	"io"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -51,25 +51,28 @@ func (s *Schedd) Journal() *journal.Journal { return s.wal }
 func (s *Schedd) Crashed() bool { return s.crashed }
 
 // journalAppend writes one record ahead of the transition it
-// describes.  The reference arm appends (and, on a real disk, syncs)
-// immediately; the fast path buffers the record into the open batch
-// and schedules the group commit for the end of the current instant,
-// deferring every outgoing send behind it (see commitWAL).
-func (s *Schedd) journalAppend(rec []byte) {
+// describes.  batch is s.walBuf with the record's encoding appended —
+// every call site passes rec*(s.walBuf, …) — so records are encoded
+// straight into the one reused batch buffer.  The reference arm
+// appends (and, on a real disk, syncs) immediately; the fast path
+// keeps the record in the open batch and schedules the group commit
+// for the end of the current instant, deferring every outgoing send
+// behind it (see commitWAL).
+func (s *Schedd) journalAppend(batch []byte) {
 	if !s.fast {
 		// Compaction runs before the append: every record already in
 		// the log has been applied to the queue, so the snapshot of
 		// the current queue plus the new record is the complete
-		// history.
-		if s.walAppends >= walCompactEvery {
-			s.wal.Compact(s.snapshot(), nil)
-			s.walAppends = 0
+		// history.  The reference arm's buffer holds only this record.
+		if s.wal.Tail() >= walCompactEvery {
+			s.compact()
 		}
-		s.wal.Append(rec)
-		s.walAppends++
+		s.wal.Append(batch)
+		s.walBuf = batch[:0]
 		return
 	}
-	s.walBuf = append(s.walBuf, rec)
+	s.walBuf = batch
+	s.walEnds = append(s.walEnds, len(batch))
 	if !s.commitArmed {
 		s.commitArmed = true
 		epoch := s.epoch
@@ -109,16 +112,13 @@ func (s *Schedd) commitWAL(epoch int) {
 		return
 	}
 	s.commitArmed = false
-	if len(s.walBuf) > 0 {
-		if s.walAppends+len(s.walBuf) >= s.compactEvery() {
-			s.wal.Compact(s.snapshot(), nil)
-			s.walAppends = 0
+	if len(s.walEnds) > 0 {
+		if s.wal.Tail()+len(s.walEnds) >= s.compactEvery() {
+			s.compact()
 		} else {
-			s.wal.AppendBatch(s.walBuf)
-			s.walAppends += len(s.walBuf)
+			s.wal.AppendBatch(s.walBuf, s.walEnds)
 		}
-		clear(s.walBuf)
-		s.walBuf = s.walBuf[:0]
+		s.walBuf, s.walEnds = s.walBuf[:0], s.walEnds[:0]
 	}
 	for i := range s.outbox {
 		p := s.outbox[i]
@@ -142,10 +142,8 @@ func (s *Schedd) ForceCompact() error {
 			"cannot compact %s: the schedd is down", s.name)
 		return e.WithOrigin(s.name)
 	}
-	s.wal.Compact(s.snapshot(), nil)
-	s.walAppends = 0
-	clear(s.walBuf)
-	s.walBuf = s.walBuf[:0]
+	s.compact()
+	s.walBuf, s.walEnds = s.walBuf[:0], s.walEnds[:0]
 	if s.tr.Enabled() {
 		s.tr.Emit(obs.Event{T: int64(s.bus.Now()), Comp: s.name,
 			Kind: obs.KindState, Code: "wal-compacted",
@@ -169,8 +167,7 @@ func (s *Schedd) Crash() {
 	// process.  Nothing externally visible happened for them — that
 	// is the whole point of deferring the sends.
 	s.commitArmed = false
-	clear(s.walBuf)
-	s.walBuf = s.walBuf[:0]
+	s.walBuf, s.walEnds = s.walBuf[:0], s.walEnds[:0]
 	clear(s.outbox)
 	s.outbox = s.outbox[:0]
 	if s.stopAds != nil {
@@ -208,10 +205,16 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	if from == nil {
 		from = s.wal
 	}
-	r := from.Replay()
+	data := from.Bytes()
+	r := journal.Decode(data)
+	if r.Truncated > 0 {
+		// Cut the torn tail off the disk: a record appended behind it
+		// would sit past the bytes replay stops at, and the next
+		// recovery would lose it.
+		from.SetBytes(data[:len(data)-r.Truncated])
+	}
 
 	s.wal = from
-	s.walAppends = len(r.Entries)
 	s.jobs = make(map[JobID]*Job)
 	s.order = nil
 	s.nextID = 0
@@ -260,7 +263,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			continue
 		}
 		open := j.LastAttempt() != nil && j.LastAttempt().End == 0
-		s.journalAppend(recEvent("recover", j.ID, now))
+		s.journalAppend(recEvent(s.walBuf, "recover", j.ID, now))
 		s.normalizeJob(j, now)
 		if open {
 			// The shadow died mid-attempt.  The machine is blameless —
@@ -314,10 +317,11 @@ func shadowDiedErr(schedd string) *scope.Error {
 // A journal record's head is its op ("op=exec") and its first fields
 // the job and the instant; a snapshot line's head names its kind.
 
-// recHead starts a journal record: `op=<op> id=<id> at=<at>`, with
-// room for the fields the caller appends.
-func recHead(op string, id JobID, at sim.Time, room int) []byte {
-	b := append(make([]byte, 0, 48+room), "op="...)
+// recHead starts a journal record on b: `op=<op> id=<id> at=<at>`.
+// Each rec* encoder appends its record to b and returns the result,
+// so the schedd encodes into its reused batch buffer.
+func recHead(b []byte, op string, id JobID, at sim.Time) []byte {
+	b = append(b, "op="...)
 	b = append(b, op...)
 	b = record.AppendInt(b, "id", int64(id))
 	return record.AppendInt(b, "at", int64(at))
@@ -329,58 +333,61 @@ func recHead(op string, id JobID, at sim.Time, room int) []byte {
 // Owner, Universe, Executable, Ad, and Program never change after
 // submission (recovery builds a fresh Job), so the rendered ad and the
 // quoting work are paid once per job instead of once per snapshot.
+// The encoding is sized exactly up front: one allocation, no slack.
 func (j *Job) identFields() []byte {
 	if j.identEnc == nil {
 		ad := ""
 		if j.Ad != nil {
 			ad = j.Ad.String()
 		}
-		b := make([]byte, 0, 96+len(ad))
+		prog := jvm.EncodeProgram(j.Program)
+		n := record.StrLen("owner", j.Owner) + record.StrLen("universe", j.Universe) +
+			record.StrLen("exe", j.Executable) + record.StrLen("ad", ad) + record.StrLen("prog", prog)
+		b := make([]byte, 0, n)
 		b = record.AppendStr(b, "owner", j.Owner)
 		b = record.AppendStr(b, "universe", j.Universe)
 		b = record.AppendStr(b, "exe", j.Executable)
 		b = record.AppendStr(b, "ad", ad)
-		j.identEnc = record.AppendStr(b, "prog", jvm.EncodeProgram(j.Program))
+		j.identEnc = record.AppendStr(b, "prog", prog)
 	}
 	return j.identEnc
 }
 
-func recSubmit(j *Job) []byte {
-	ident := j.identFields()
-	return append(recHead("submit", j.ID, j.Submitted, len(ident)), ident...)
+func recSubmit(b []byte, j *Job) []byte {
+	return append(recHead(b, "submit", j.ID, j.Submitted), j.identFields()...)
 }
 
-func recMatch(id JobID, at sim.Time, machine string) []byte {
-	return record.AppendStr(recHead("match", id, at, 12+len(machine)), "machine", machine)
+func recMatch(b []byte, id JobID, at sim.Time, machine string) []byte {
+	return record.AppendStr(recHead(b, "match", id, at), "machine", machine)
 }
 
-func recExec(id JobID, at sim.Time, machine string) []byte {
-	return record.AppendStr(recHead("exec", id, at, 12+len(machine)), "machine", machine)
+func recExec(b []byte, id JobID, at sim.Time, machine string) []byte {
+	return record.AppendStr(recHead(b, "exec", id, at), "machine", machine)
 }
 
 // recFlock records a flock transition: the job's advertisement moved
 // to the peer negotiator `to` at 1-based `level`, or came home again
 // (level 0, empty to).
-func recFlock(id JobID, at sim.Time, level int, to string) []byte {
-	b := record.AppendInt(recHead("flock", id, at, 16+len(to)), "level", int64(level))
+func recFlock(b []byte, id JobID, at sim.Time, level int, to string) []byte {
+	b = record.AppendInt(recHead(b, "flock", id, at), "level", int64(level))
 	return record.AppendStr(b, "to", to)
 }
 
 // recCkpt records a committed checkpoint: the job can resume from cpu
 // nanoseconds of delivered work on any machine, even after a schedd
 // crash.
-func recCkpt(id JobID, at sim.Time, cpu time.Duration) []byte {
-	return record.AppendInt(recHead("ckpt", id, at, 24), "cpu", int64(cpu))
+func recCkpt(b []byte, id JobID, at sim.Time, cpu time.Duration) []byte {
+	return record.AppendInt(recHead(b, "ckpt", id, at), "cpu", int64(cpu))
 }
 
 // recEvent covers the transitions that carry no payload beyond the
 // job and the instant: claim-timeout, claim-denied, relax, recover.
-func recEvent(op string, id JobID, at sim.Time) []byte {
-	return recHead(op, id, at, 0)
+func recEvent(b []byte, op string, id JobID, at sim.Time) []byte {
+	return recHead(b, op, id, at)
 }
 
-func recFinal(f jobFinalMsg, at sim.Time) []byte {
-	b := recHead("final", f.Job, at, 208)
+func recFinal(b []byte, f jobFinalMsg, at sim.Time) []byte {
+	b = recHead(b, "final", f.Job, at)
 	b = record.AppendStr(b, "machine", f.Machine)
 	b = record.AppendInt(b, "cpu", int64(f.CPU))
 	b = record.AppendInt(b, "ckpt", int64(f.CheckpointCPU))
@@ -396,8 +403,16 @@ func recFinal(f jobFinalMsg, at sim.Time) []byte {
 func appendOutcome(b []byte, fetch, lost error, rep, tru *scope.Result) []byte {
 	b = record.AppendStr(b, "fetch", encodeScopedErr(fetch))
 	b = record.AppendStr(b, "lost", encodeScopedErr(lost))
-	b = record.AppendStr(b, "rep", rep.EncodeString())
-	return record.AppendStr(b, "tru", tru.EncodeString())
+	b = appendResult(b, "rep", rep)
+	return appendResult(b, "tru", tru)
+}
+
+// appendResult appends ` key="<encoded result>"`.  The result is
+// encoded in a stack buffer and quoted from there, so the record
+// holds the only copy.
+func appendResult(b []byte, key string, r *scope.Result) []byte {
+	var tmp [256]byte
+	return record.AppendStrBytes(b, key, r.AppendEncoded(tmp[:0]))
 }
 
 // encodeScopedErr flattens an error for the journal.  The cause chain
@@ -558,36 +573,37 @@ func readEnum[E interface {
 
 // --- snapshot --------------------------------------------------------
 
-// snapshot serializes the whole queue: one header line, the
+// snapshotFlush is the line-buffer fill at which writeSnapshot hands
+// its buffered lines to the writer.
+const snapshotFlush = 4 << 10
+
+// compact folds the journal into a snapshot of the current queue,
+// streamed straight into the journal by writeSnapshot.
+func (s *Schedd) compact() {
+	s.wal.Compact(func(w *journal.Writer) { s.writeSnapshot(w) })
+}
+
+// writeSnapshot serializes the whole queue to w: one header line, the
 // chronic-failure table, then per job its attempts, then the user
-// reports.  Line order is the replay order.  The assembly buffer is
-// reused across snapshots and the immutable pieces — job identity
-// lines, frozen attempts, already-written reports — come from caches,
-// so each compaction pays only for the state that changed since the
-// last one.  The returned slice aliases the reused buffer; callers
-// (journal framing) copy it before the next snapshot.
-func (s *Schedd) snapshot() []byte {
-	if cap(s.snapBuf) < 256*len(s.jobs) {
-		// First snapshot at this queue size: reserve roughly a full
-		// serialization up front so the build doubles a handful of
-		// times instead of re-copying megabytes under append's damped
-		// growth factor.
-		s.snapBuf = make([]byte, 0, 256*len(s.jobs))
-	}
-	b := s.snapBuf[:0]
-	b = append(b, "schedd"...)
+// reports.  Line order is the replay order.  Lines are assembled in a
+// reused buffer of a few KiB and handed to w as it fills, and the
+// immutable pieces — job identity fields, frozen attempts,
+// already-written reports — come from caches, so each compaction pays
+// only for the state that changed since the last one.
+func (s *Schedd) writeSnapshot(w io.Writer) {
+	b := append(s.lineBuf[:0], "schedd"...)
 	b = record.AppendInt(b, "nextID", int64(s.nextID))
 	b = record.AppendInt(b, "requeues", int64(s.Requeues))
 	b = record.AppendInt(b, "recoveries", int64(s.Recoveries))
 	b = append(b, '\n')
-	machines := make([]string, 0, len(s.machineFailures))
+	keys := s.failKeys[:0]
 	for m, rec := range s.machineFailures {
 		if rec.count != 0 {
-			machines = append(machines, m)
+			keys = append(keys, m)
 		}
 	}
-	sort.Strings(machines)
-	for _, m := range machines {
+	slices.Sort(keys)
+	for _, m := range keys {
 		rec := s.machineFailures[m]
 		b = append(b, "failure"...)
 		b = record.AppendStr(b, "machine", m)
@@ -595,6 +611,8 @@ func (s *Schedd) snapshot() []byte {
 		b = record.AppendInt(b, "last", int64(rec.last))
 		b = append(b, '\n')
 	}
+	clear(keys)
+	s.failKeys = keys[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
 		b = append(b, "job"...)
@@ -608,7 +626,13 @@ func (s *Schedd) snapshot() []byte {
 		b = record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr))
 		b = append(b, '\n')
 		b = j.appendAttempts(b)
+		if len(b) >= snapshotFlush {
+			w.Write(b)
+			b = b[:0]
+		}
 	}
+	w.Write(b)
+	s.lineBuf = b[:0]
 	if s.reportEncN > len(s.Reports) {
 		// Reports were reset (recovery rebuilds them); re-encode.
 		s.reportEnc, s.reportEncN = s.reportEnc[:0], 0
@@ -616,9 +640,7 @@ func (s *Schedd) snapshot() []byte {
 	for ; s.reportEncN < len(s.Reports); s.reportEncN++ {
 		s.reportEnc = appendReport(s.reportEnc, &s.Reports[s.reportEncN])
 	}
-	b = append(b, s.reportEnc...)
-	s.snapBuf = b
-	return b
+	w.Write(s.reportEnc)
 }
 
 // appendAttempts writes the job's attempt lines: the frozen prefix
@@ -658,7 +680,7 @@ func appendReport(b []byte, r *UserReport) []byte {
 	b = append(b, "report"...)
 	b = record.AppendInt(b, "job", int64(r.Job))
 	b = record.AppendBare(b, "disp", r.Disposition.String())
-	b = record.AppendStr(b, "result", r.Result.EncodeString())
+	b = appendResult(b, "result", &r.Result)
 	b = record.AppendStr(b, "err", encodeScopedErr(r.Err))
 	b = record.AppendBool(b, "leak", r.IncidentalLeak)
 	return append(b, '\n')

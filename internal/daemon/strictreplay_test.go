@@ -14,7 +14,7 @@ import (
 // the encoders' canonical one are refused, even where a lenient
 // key=value scan would have read the same values.
 func TestStrictReplay(t *testing.T) {
-	final := string(recFinal(sampleFinal(false), 5))
+	final := string(recFinal(nil, sampleFinal(false), 5))
 	entries := []struct{ why, line string }{
 		{"reordered fields", `op=exec at=5 id=7 machine="m"`},
 		{"duplicated key", `op=ckpt id=7 at=5 cpu=1 cpu=2`},
@@ -26,7 +26,7 @@ func TestStrictReplay(t *testing.T) {
 	}
 	for _, c := range entries {
 		s := NewSchedd(sim.NewBus(sim.New(1), time.Millisecond), DefaultParams(), "schedd")
-		if err := s.applyEntry(recSubmit(sampleJob())); err != nil {
+		if err := s.applyEntry(recSubmit(nil, sampleJob())); err != nil {
 			t.Fatalf("canonical submit record refused: %v", err)
 		}
 		if err := s.applyEntry([]byte(c.line)); err == nil {

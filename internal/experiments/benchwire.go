@@ -32,8 +32,8 @@ type BenchWireRow struct {
 	// Mode is "text", "binary", or "secure".
 	Mode string `json:"mode"`
 	// Op names the workload, e.g. "pread-4096".
-	Op     string `json:"op"`
-	Rounds int    `json:"rounds"`
+	Op     string  `json:"op"`
+	Rounds int     `json:"rounds"`
 	WallMS float64 `json:"wall_ms"`
 	// RoundTripsPerSec is completed RPCs per wall-clock second.
 	RoundTripsPerSec float64 `json:"round_trips_per_sec"`

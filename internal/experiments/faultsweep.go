@@ -510,7 +510,7 @@ func simCells() []simCell {
 			setup: func(p *pool.Pool) {
 				_ = p.Schedd.SubmitFS.WriteFile("/data/in", bytes.Repeat([]byte("d"), 256))
 			},
-			prog: func(int) *jvm.Program { return jvm.ReadsInput("/data/in", 256) },
+			prog:   func(int) *jvm.Program { return jvm.ReadsInput("/data/in", 256) },
 			expect: completed(scope.ScopeNone, 0, 1, ""),
 		},
 		{

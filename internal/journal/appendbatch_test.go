@@ -17,9 +17,9 @@ func TestAppendBatchEqualsAppends(t *testing.T) {
 		one.Append(p)
 	}
 	batched := New()
-	batched.AppendBatch(want[:5])
-	batched.AppendBatch(nil) // an empty batch writes nothing
-	batched.AppendBatch(want[5:])
+	batched.AppendBatch(batch(want[:5]...))
+	batched.AppendBatch(nil, nil) // an empty batch writes nothing
+	batched.AppendBatch(batch(want[5:]...))
 
 	if !bytes.Equal(one.Bytes(), batched.Bytes()) {
 		t.Fatal("batched log differs from the record-at-a-time log")
@@ -44,7 +44,7 @@ func TestAppendBatchEqualsAppends(t *testing.T) {
 func TestAppendBatchTornTail(t *testing.T) {
 	want := payloads(6)
 	j := New()
-	j.AppendBatch(want)
+	j.AppendBatch(batch(want...))
 	full := j.Bytes()
 
 	// Recompute record boundaries from an incremental build.

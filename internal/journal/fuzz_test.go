@@ -10,7 +10,8 @@ func fuzzSeed() []byte {
 	j := New()
 	j.Append([]byte("op=submit id=1"))
 	j.Append([]byte("op=match id=1 machine=big"))
-	j.Compact([]byte("snapshot nextID=2"), [][]byte{[]byte("op=exec id=1")})
+	compact(j, "snapshot nextID=2")
+	j.Append([]byte("op=exec id=1"))
 	j.Append([]byte("op=final id=1"))
 	return j.Bytes()
 }
@@ -21,11 +22,11 @@ func fuzzSeed() []byte {
 func FuzzDecode(f *testing.F) {
 	valid := fuzzSeed()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])          // torn tail
-	f.Add(valid[:headerSize-1])          // shorter than one header
-	f.Add([]byte{})                      // empty log
-	f.Add([]byte("garbage"))             // no magic at all
-	f.Add(append([]byte{magic}, 'X'))    // bad kind byte
+	f.Add(valid[:len(valid)-3])       // torn tail
+	f.Add(valid[:headerSize-1])       // shorter than one header
+	f.Add([]byte{})                   // empty log
+	f.Add([]byte("garbage"))          // no magic at all
+	f.Add(append([]byte{magic}, 'X')) // bad kind byte
 	mangled := append([]byte(nil), valid...)
 	mangled[len(mangled)/2] ^= 0xFF // corrupt a middle record
 	f.Add(mangled)
@@ -38,12 +39,9 @@ func FuzzDecode(f *testing.F) {
 		// exactly the same state with a clean tail.
 		j := New()
 		if r.Snapshot != nil {
-			j.Compact(r.Snapshot, r.Entries)
-		} else {
-			for _, e := range r.Entries {
-				j.Append(e)
-			}
+			compact(j, string(r.Snapshot))
 		}
+		j.AppendBatch(batch(r.Entries...))
 		r2 := j.Replay()
 		if r2.Truncated != 0 {
 			t.Fatalf("re-encoded log has a torn tail: %d bytes", r2.Truncated)

@@ -47,14 +47,67 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Journal is the durable log.  The backing store is a byte slice — the
-// "disk" that survives a simulated crash of its writer.  All methods
-// are safe for concurrent use; the simulation is single-threaded, but
-// the race-enabled journal-smoke test exercises concurrent append and
-// compaction so the type stays correct under a live runtime too.
+// kindCRC is the CRC-32C of a frame's kind byte alone: the seed every
+// frame's checksum continues from, computed once so that neither
+// framing nor decoding builds a one-byte slice per record.
+var kindCRC = [2]uint32{
+	crc32.Checksum([]byte{KindEntry}, castagnoli),
+	crc32.Checksum([]byte{KindSnapshot}, castagnoli),
+}
+
+// frameCRC is the checksum a frame of kind carrying payload stores.
+func frameCRC(kind byte, payload []byte) uint32 {
+	seed := kindCRC[0]
+	if kind == KindSnapshot {
+		seed = kindCRC[1]
+	}
+	return crc32.Update(seed, castagnoli, payload)
+}
+
+// putHeader fills a frame header.
+func putHeader(hdr []byte, kind byte, n int, crc uint32) {
+	hdr[0] = magic
+	hdr[1] = kind
+	binary.LittleEndian.PutUint32(hdr[2:6], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[6:10], crc)
+}
+
+// The log's chunk sizes.  Chunk k holds firstChunk<<k bytes for the
+// first leadChunks chunks — 512 B doubling to 32 KiB, so a short
+// journal (a test, a small federated schedd) costs a few KiB — and
+// chunkSize bytes after that.  Every size is a Go allocator size class
+// or a whole number of 8 KiB pages, so no chunk carries slack.
+const (
+	firstChunk = 512
+	leadChunks = 7
+	chunkSize  = 64 << 10
+)
+
+// chunkCap is the capacity of chunk k.
+func chunkCap(k int) int {
+	if k < leadChunks {
+		return firstChunk << k
+	}
+	return chunkSize
+}
+
+// Journal is the durable log — the "disk" that survives a simulated
+// crash of its writer.  All methods are safe for concurrent use; the
+// simulation is single-threaded, but the race-enabled journal-smoke
+// test exercises concurrent append and compaction so the type stays
+// correct under a live runtime too.
+//
+// The log is a list of chunks, not one growing slice: an append copies
+// its frame into the last chunk and opens the next when that one is
+// full, so no byte already written is ever copied again.  A frame may
+// span chunks; the byte stream — what Bytes returns and Decode reads —
+// is the chunks concatenated.
 type Journal struct {
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	chunks [][]byte // chunk k has capacity chunkCap(k); all but the last are full
+	size   int      // bytes in the log
+	tail   int      // entry records after the last snapshot
+	snap   Writer   // the snapshot writer Compact hands out
 
 	appends     int
 	compactions int
@@ -63,96 +116,111 @@ type Journal struct {
 // New returns an empty journal.
 func New() *Journal { return &Journal{} }
 
-// grow ensures buf has room for n more bytes, doubling the backing
-// array when it must reallocate.  Plain append approaches 1.25x growth
-// for megabyte-scale slices, which re-copies a long log four times as
-// often; a write-ahead log is the textbook case for exponential
-// growth, keeping total copy traffic O(final size) over a run.
-func grow(buf []byte, n int) []byte {
-	if cap(buf)-len(buf) >= n {
-		return buf
+// write copies p onto the end of the log, opening chunks as it goes.
+func (j *Journal) write(p []byte) {
+	for len(p) > 0 {
+		k := len(j.chunks) - 1
+		if k < 0 || len(j.chunks[k]) == cap(j.chunks[k]) {
+			k++
+			j.chunks = append(j.chunks, make([]byte, 0, chunkCap(k)))
+		}
+		c := j.chunks[k]
+		n := min(len(p), cap(c)-len(c))
+		j.chunks[k] = append(c, p[:n]...)
+		j.size += n
+		p = p[n:]
 	}
-	newCap := 2 * cap(buf)
-	if newCap < len(buf)+n {
-		newCap = len(buf) + n
-	}
-	if newCap < 1024 {
-		newCap = 1024
-	}
-	nb := make([]byte, len(buf), newCap)
-	copy(nb, buf)
-	return nb
 }
 
-// frame appends one record frame to buf and returns the result.
-func frame(buf []byte, kind byte, payload []byte) []byte {
-	buf = grow(buf, headerSize+len(payload))
+// entry frames one entry record onto the end of the log.
+func (j *Journal) entry(payload []byte) {
 	var hdr [headerSize]byte
-	hdr[0] = magic
-	hdr[1] = kind
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum([]byte{kind}, castagnoli), castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	putHeader(hdr[:], KindEntry, len(payload), frameCRC(KindEntry, payload))
+	j.write(hdr[:])
+	j.write(payload)
+	j.appends++
+	j.tail++
 }
 
 // Append writes one entry record.
 func (j *Journal) Append(payload []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.data = frame(j.data, KindEntry, payload)
-	j.appends++
+	j.entry(payload)
 }
 
 // AppendBatch writes a group of entry records under one critical
-// section — the group-commit primitive.  The batch is framed
-// back-to-back, so replay sees exactly the records one Append per
-// payload would have produced, but the writer pays one lock
-// acquisition (one fsync, on a real disk) for the whole batch.
-func (j *Journal) AppendBatch(payloads [][]byte) {
-	if len(payloads) == 0 {
+// section — the group-commit primitive.  The records are laid end to
+// end in buf: record i is buf[ends[i-1]:ends[i]], the first starting
+// at 0.  The batch is framed back-to-back, so replay sees exactly the
+// records one Append per record would have produced, but the writer
+// pays one lock acquisition (one fsync, on a real disk) for the whole
+// batch.
+func (j *Journal) AppendBatch(buf []byte, ends []int) {
+	if len(ends) == 0 {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, p := range payloads {
-		j.data = frame(j.data, KindEntry, p)
-		j.appends++
+	start := 0
+	for _, end := range ends {
+		j.entry(buf[start:end])
+		start = end
 	}
 }
 
-// Compact atomically replaces the log with one snapshot record
-// followed by the tail entries.  The caller serializes its complete
-// state into snapshot; everything the snapshot subsumes is discarded.
-func (j *Journal) Compact(snapshot []byte, tail [][]byte) {
+// Compact atomically replaces the log with one snapshot record whose
+// payload fn writes through w, and returns the number of entry records
+// the snapshot subsumed: those appended since the previous snapshot.
+// fn serializes the caller's complete state; everything the snapshot
+// subsumes is discarded.  The snapshot is streamed straight into a
+// fresh chunk list behind a placeholder header, which is patched with
+// the payload's length and checksum once fn returns; the old chunks
+// are dropped.  The snapshot frame's bytes are exactly those of a
+// snapshot built whole and then framed.
+//
+// fn runs inside the journal's critical section, so no concurrent
+// append can slip between the state the snapshot captures and the log
+// it replaces — this is the safe way to compact while writers are
+// live.  fn must not call the journal's methods, and w is valid only
+// until fn returns.
+func (j *Journal) Compact(fn func(w *Writer)) (folded int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// The old backing array is reused: frame copies the snapshot and
-	// tail payloads in, and Bytes/Replay hand out copies, so no caller
-	// holds a reference into j.data.  (The snapshot argument itself is
-	// built by the caller in its own buffer, never aliased to j.data.)
-	buf := frame(j.data[:0], KindSnapshot, snapshot)
-	for _, p := range tail {
-		buf = frame(buf, KindEntry, p)
-	}
-	j.data = buf
+	folded = j.tail
+	j.snap = Writer{j: j, crc: frameCRC(KindSnapshot, nil)}
+	// The chunk list's array is kept, cleared so the old chunks are
+	// garbage.
+	clear(j.chunks)
+	j.chunks, j.size, j.tail = j.chunks[:0], 0, 0
+	var hdr [headerSize]byte
+	j.write(hdr[:])
+	fn(&j.snap)
+	// Chunk 0 is at least headerSize bytes, so the header lies whole
+	// in it.
+	putHeader(j.chunks[0][:headerSize], KindSnapshot, j.snap.n, j.snap.crc)
+	j.snap.j = nil
 	j.compactions++
+	return folded
 }
 
-// Rewrite compacts under a single critical section: fn receives the
-// replay of the current contents and returns the new snapshot payload,
-// and the log is replaced by that snapshot alone.  Unlike a separate
-// Replay+Compact pair, no concurrent append can slip into the gap and
-// be silently discarded, so this is the safe way to compact while
-// writers are live.  The replay passed to fn aliases the old log; fn
-// must not retain it.
-func (j *Journal) Rewrite(fn func(Replay) []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	snap := fn(Decode(j.data))
-	j.data = frame(j.data[:0:0], KindSnapshot, snap)
-	j.compactions++
+// Writer streams one snapshot payload into the journal during Compact.
+type Writer struct {
+	j   *Journal
+	n   int    // payload bytes written
+	crc uint32 // running CRC-32C of kind byte + payload
+}
+
+// Write appends p to the snapshot payload.  It never fails; the
+// signature is io.Writer's.
+func (w *Writer) Write(p []byte) (int, error) {
+	if w.j == nil {
+		panic("journal: snapshot Writer used outside Compact")
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, p)
+	w.n += len(p)
+	w.j.write(p)
+	return len(p), nil
 }
 
 // Bytes returns a copy of the durable bytes — what a recovery process
@@ -160,8 +228,10 @@ func (j *Journal) Rewrite(fn func(Replay) []byte) {
 func (j *Journal) Bytes() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]byte, len(j.data))
-	copy(out, j.data)
+	out := make([]byte, 0, j.size)
+	for _, c := range j.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -171,14 +241,24 @@ func (j *Journal) Bytes() []byte {
 func (j *Journal) SetBytes(b []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.data = append(j.data[:0:0], b...)
+	j.chunks, j.size = nil, 0
+	j.write(b)
+	j.tail = len(Decode(b).Entries)
 }
 
 // Size returns the current log length in bytes.
 func (j *Journal) Size() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.data)
+	return j.size
+}
+
+// Tail returns the number of intact entry records after the last
+// snapshot: the records a compaction now would fold.
+func (j *Journal) Tail() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.tail
 }
 
 // Appends returns how many entry records have been appended over the
@@ -240,8 +320,7 @@ func Decode(data []byte) Replay {
 		}
 		payload := data[off+headerSize : off+headerSize+n]
 		want := binary.LittleEndian.Uint32(data[off+6 : off+10])
-		crc := crc32.Update(crc32.Checksum([]byte{kind}, castagnoli), castagnoli, payload)
-		if crc != want {
+		if frameCRC(kind, payload) != want {
 			break
 		}
 		if kind == KindSnapshot {

@@ -15,6 +15,20 @@ func payloads(n int) [][]byte {
 	return out
 }
 
+// compact folds j into a snapshot whose payload is snap.
+func compact(j *Journal, snap string) {
+	j.Compact(func(w *Writer) { w.Write([]byte(snap)) })
+}
+
+// batch lays records end to end in the form AppendBatch takes.
+func batch(recs ...[]byte) (buf []byte, ends []int) {
+	for _, r := range recs {
+		buf = append(buf, r...)
+		ends = append(ends, len(buf))
+	}
+	return buf, ends
+}
+
 func TestRoundTrip(t *testing.T) {
 	j := New()
 	want := payloads(20)
@@ -52,7 +66,7 @@ func TestSnapshotResetsEntries(t *testing.T) {
 	j := New()
 	j.Append([]byte("before-1"))
 	j.Append([]byte("before-2"))
-	j.Compact([]byte("state@2"), nil)
+	compact(j, "state@2")
 	j.Append([]byte("after-1"))
 	r := j.Replay()
 	if string(r.Snapshot) != "state@2" {
@@ -71,7 +85,8 @@ func TestCompactKeepsTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		j.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
-	j.Compact([]byte("snap"), [][]byte{[]byte("t1"), []byte("t2")})
+	compact(j, "snap")
+	j.AppendBatch(batch([]byte("t1"), []byte("t2")))
 	r := j.Replay()
 	if string(r.Snapshot) != "snap" {
 		t.Fatalf("snapshot = %q", r.Snapshot)
@@ -79,8 +94,8 @@ func TestCompactKeepsTail(t *testing.T) {
 	if len(r.Entries) != 2 || string(r.Entries[0]) != "t1" || string(r.Entries[1]) != "t2" {
 		t.Fatalf("entries = %q", r.Entries)
 	}
-	if j.Compactions() != 1 || j.Appends() != 10 {
-		t.Fatalf("compactions=%d appends=%d", j.Compactions(), j.Appends())
+	if j.Compactions() != 1 || j.Appends() != 12 || j.Tail() != 2 {
+		t.Fatalf("compactions=%d appends=%d tail=%d", j.Compactions(), j.Appends(), j.Tail())
 	}
 }
 
@@ -155,7 +170,8 @@ func TestCorruptByte(t *testing.T) {
 func TestSetBytesRestores(t *testing.T) {
 	j := New()
 	j.Append([]byte("alpha"))
-	j.Compact([]byte("snap"), [][]byte{[]byte("beta")})
+	compact(j, "snap")
+	j.Append([]byte("beta"))
 	saved := j.Bytes()
 
 	k := New()
@@ -164,13 +180,16 @@ func TestSetBytesRestores(t *testing.T) {
 	if string(r.Snapshot) != "snap" || len(r.Entries) != 1 || string(r.Entries[0]) != "beta" {
 		t.Fatalf("restored replay = %+v", r)
 	}
+	if k.Size() != len(saved) || k.Tail() != 1 {
+		t.Fatalf("restored size=%d tail=%d, want %d and 1", k.Size(), k.Tail(), len(saved))
+	}
 }
 
 // TestConcurrentAppendCompact is the journal-smoke target: writers
-// append while a compactor periodically folds the log via Rewrite, all
-// under the race detector.  Every appended record must be accounted
-// for — folded into a snapshot or still in the tail — and the final
-// log must decode cleanly.
+// append while a compactor periodically folds the log into a streamed
+// snapshot, all under the race detector.  Every appended record must
+// be accounted for — folded into a snapshot or still in the tail — and
+// the log must decode cleanly mid-run and at the end.
 func TestConcurrentAppendCompact(t *testing.T) {
 	j := New()
 	const writers = 4
@@ -191,12 +210,11 @@ func TestConcurrentAppendCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for c := 0; c < 50; c++ {
-			j.Rewrite(func(r Replay) []byte {
-				if r.Truncated != 0 {
-					t.Errorf("mid-run replay truncated %d bytes", r.Truncated)
-				}
-				folded += len(r.Entries)
-				return []byte(fmt.Sprintf("compaction=%d folded=%d", c, folded))
+			if r := j.Replay(); r.Truncated != 0 {
+				t.Errorf("mid-run replay truncated %d bytes", r.Truncated)
+			}
+			folded += j.Compact(func(w *Writer) {
+				fmt.Fprintf(w, "compaction=%d", c)
 			})
 		}
 	}()

@@ -478,4 +478,3 @@ func authenticate(key, nonce []byte) []byte {
 	m.Write(nonce)
 	return m.Sum(nil)
 }
-

@@ -217,8 +217,8 @@ type FlockMetrics struct {
 	Returns     int
 	ReplyErrors int
 	// Coordinator side.
-	Grants   int
-	Denials  int
+	Grants    int
+	Denials   int
 	PingsSent int
 	// ForeignMatches counts matches negotiators made for other pools'
 	// jobs.

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // AppendInt appends ` key=v`.
@@ -37,6 +38,19 @@ func AppendInt(b []byte, key string, v int64) []byte {
 // AppendStr appends ` key="v"`, quoted exactly as strconv.Quote.
 func AppendStr(b []byte, key, v string) []byte {
 	return AppendQuote(appendKey(b, key), v)
+}
+
+// AppendStrBytes is AppendStr for a value held in a byte slice: v is
+// quoted in place, never copied into a string.  v must not overlap b's
+// spare capacity.
+func AppendStrBytes(b []byte, key string, v []byte) []byte {
+	return AppendStr(b, key, unsafe.String(unsafe.SliceData(v), len(v)))
+}
+
+// StrLen is the number of bytes AppendStr(b, key, v) appends, computed
+// without encoding: an encoder can size its buffer exactly up front.
+func StrLen(key, v string) int {
+	return len(key) + 2 + quotedLen(v)
 }
 
 // AppendBool appends ` key=true` or ` key=false`.
@@ -115,6 +129,28 @@ func AppendQuote(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
+}
+
+// quotedLen is len(AppendQuote(nil, s)), counted over AppendQuote's
+// fast cases; anything outside them is measured through strconv.
+func quotedLen(s string) int {
+	n := len(s) + 2
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x20 && c < 0x7f {
+			if c == '"' || c == '\\' {
+				n++
+			}
+			continue
+		}
+		switch c {
+		case '\n', '\t', '\r':
+			n++
+		default:
+			return len(strconv.Quote(s))
+		}
+	}
+	return n
 }
 
 // Reader parses one record strictly, in field order.  Its error is
@@ -289,7 +325,11 @@ func (r *Reader) Sealed() {
 		r.Fail("crc %q is not 8 lowercase hex digits", raw)
 		return
 	}
-	if got := crc32.ChecksumIEEE([]byte(r.line[:covered])); got != want {
+	// crc32 only reads its input, so a read-only view of the line's
+	// bytes stands in for a copy: parsing a sealed record allocates
+	// nothing.
+	covers := unsafe.Slice(unsafe.StringData(r.line), covered)
+	if got := crc32.ChecksumIEEE(covers); got != want {
 		r.Fail("crc mismatch: record says %s, bytes say %08x", raw, got)
 	}
 }

@@ -167,7 +167,8 @@ func TestReaderErrorForm(t *testing.T) {
 
 // TestAppendQuoteMatchesStrconv pins the fast quoter to
 // strconv.AppendQuote byte-for-byte, across the fast ASCII path, every
-// escaped byte, and the non-ASCII fallback.
+// escaped byte, and the non-ASCII fallback; and StrLen and
+// AppendStrBytes to AppendStr.
 func TestAppendQuoteMatchesStrconv(t *testing.T) {
 	cases := []string{
 		"", "plain", "with space", `has "quotes" inside`, `back\slash`,
@@ -180,6 +181,12 @@ func TestAppendQuoteMatchesStrconv(t *testing.T) {
 		want := string(strconv.AppendQuote(nil, s))
 		if got != want {
 			t.Errorf("AppendQuote(%q) = %s, want %s", s, got, want)
+		}
+		if n, want := record.StrLen("key", s), len(record.AppendStr(nil, "key", s)); n != want {
+			t.Errorf("StrLen(%q) = %d, want %d", s, n, want)
+		}
+		if got, want := record.AppendStrBytes(nil, "key", []byte(s)), record.AppendStr(nil, "key", s); string(got) != string(want) {
+			t.Errorf("AppendStrBytes(%q) = %s, want %s", s, got, want)
 		}
 	}
 }
@@ -237,12 +244,16 @@ func fuzzSeeds() []string {
 // FuzzRecord runs every exported record parser over each input and
 // requires parse∘encode to be the identity on whatever a parser
 // accepts: the canonicality contract of package record, checked
-// through every codec built on it.
+// through every codec built on it.  Every input is also a string
+// field's value: StrLen must predict what AppendStr appends.
 func FuzzRecord(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		if n, want := record.StrLen("k", s), len(record.AppendStr(nil, "k", s)); n != want {
+			t.Fatalf("StrLen(%q) = %d, AppendStr appends %d bytes", s, n, want)
+		}
 		identity := func(kind, enc string) {
 			if enc != s {
 				t.Fatalf("%s parser accepted %q but it re-encodes as %q", kind, s, enc)
